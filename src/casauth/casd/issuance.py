@@ -9,7 +9,6 @@ from typing import Any
 
 from ..credential.certs import CertificateChain, RestrictionPolicy, ValidityInterval
 from ..credential.issue import delegate
-from ..credential.keys import DEFAULT_SCHEME, SignatureScheme
 from ..credential.verify import VerifiedSubject
 from ..errors import Denied, NotEnrolled, RestrictedAuthRefused
 from ..policy.model import ALL, LANGUAGE, PolicyDocument
@@ -41,7 +40,6 @@ class CapabilityIssuer:
     chain: CertificateChain
     leaf_key: Any
     max_lifetime: int = DEFAULT_MAX_LIFETIME
-    scheme: SignatureScheme = DEFAULT_SCHEME
     sessions: SessionCounter = field(default_factory=SessionCounter)
 
     def request_capability(self, db: CommunityDB, subject: VerifiedSubject,
@@ -78,5 +76,4 @@ class CapabilityIssuer:
         proxy_group = f"{PROXY_GROUP_PREFIX}{self.sessions.next()}"
         return delegate(self.chain, self.leaf_key, user_session_pk,
                         ValidityInterval(now, now + lifetime),
-                        restriction=restriction, proxy_group=proxy_group,
-                        scheme=self.scheme)
+                        restriction=restriction, proxy_group=proxy_group)

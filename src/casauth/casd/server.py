@@ -7,157 +7,62 @@ Post-handshake message types:
                         session-pk: <hex>   lifetime: <seconds>
 
 Replies are OK (grant adds ``id``), CAPABILITY (``chain``), DENIED
-(``reason``), or ERROR (``reason``). All mutations and every issuance run
-under one writer lock, and the snapshot is rewritten after each mutation,
-so a crash can lose at most the command being applied.
+(``reason``: not-authorized, unknown-actor, denied, not-enrolled,
+restricted-chain), or ERROR (``reason``: duplicate-name, unknown-name,
+invariant, parse, bad-request, internal). All mutations and every
+issuance run under one writer lock, and the snapshot is rewritten after
+each mutation, so a crash can lose at most the command being applied.
 """
 
 from __future__ import annotations
 
 import logging
 import socket
-import socketserver
 import threading
 from typing import Any, Callable
 
 from ..credential.certs import CertificateChain, encode_chain
-from ..credential.keys import DEFAULT_SCHEME, SignatureScheme
-from ..credential.verify import EnforcementContext, VerifiedSubject
+from ..credential.verify import VerifiedSubject
 from ..clocks import system_clock
-from ..errors import (
-    CasError,
-    Denied,
-    DuplicateName,
-    InvariantViolation,
-    NotAuthorized,
-    NotEnrolled,
-    ParseError,
-    RestrictedAuthRefused,
-    UnknownActor,
-    UnknownName,
-)
-from ..policy.model import ALL, LANGUAGE
+from ..errors import ParseError, RestrictedAuthRefused
+from ..policy.model import ALL
 from ..policy.text import parse_policy
 from ..wire.frames import serve_messages
 from ..wire.handshake import server_handshake
+from ..wire.server import AuthenticatedServer
 from .admin import AdminCommand, apply_admin
 from .db import CommunityDB, save_db
 from .issuance import DEFAULT_MAX_LIFETIME, CapabilityIssuer
 
-logger = logging.getLogger("casauth.casd")
 
-SESSION_TIMEOUT = 30.0
-
-_DENIAL_REASONS = {
-    NotAuthorized: "not-authorized",
-    Denied: "denied",
-    NotEnrolled: "not-enrolled",
-    RestrictedAuthRefused: "restricted-chain",
-    UnknownActor: "unknown-actor",
-}
-
-_ERROR_REASONS = {
-    DuplicateName: "duplicate-name",
-    UnknownName: "unknown-name",
-    InvariantViolation: "invariant",
-    ParseError: "parse",
-}
-
-
-def _failure_reply(exc: CasError) -> dict[str, str]:
-    for klass, reason in _DENIAL_REASONS.items():
-        if isinstance(exc, klass):
-            return {"msg": "DENIED", "reason": reason}
-    for klass, reason in _ERROR_REASONS.items():
-        if isinstance(exc, klass):
-            return {"msg": "ERROR", "reason": reason}
-    return {"msg": "ERROR", "reason": "internal"}
-
-
-class CasServer:
+class CasServer(AuthenticatedServer):
     """Runs the community database behind the authenticated protocol."""
+
+    name = "casd"
+    logger = logging.getLogger("casauth.casd")
+    error_reasons = frozenset({"duplicate-name", "unknown-name", "invariant", "parse"})
 
     def __init__(self, db: CommunityDB, chain: CertificateChain, leaf_key: Any,
                  *, listen: tuple[str, int] = ("127.0.0.1", 0),
                  bootstrap_admin: str | None = None,
                  max_lifetime: int = DEFAULT_MAX_LIFETIME,
                  db_path: str | None = None,
-                 clock: Callable[[], int] = system_clock,
-                 scheme: SignatureScheme = DEFAULT_SCHEME):
+                 clock: Callable[[], int] = system_clock):
+        super().__init__(chain, leaf_key, listen, clock)
         self._db = db
-        self._chain = chain
-        self._leaf_key = leaf_key
-        self._listen = listen
         self._bootstrap_admin = bootstrap_admin
         self._db_path = db_path
-        self._clock = clock
-        self._scheme = scheme
-        self._issuer = CapabilityIssuer(chain, leaf_key, max_lifetime, scheme)
-        self._ctx = EnforcementContext(True, frozenset({LANGUAGE}))
+        self._issuer = CapabilityIssuer(chain, leaf_key, max_lifetime)
         self._write_lock = threading.Lock()
-        self._tcp: socketserver.ThreadingTCPServer | None = None
-        self._thread: threading.Thread | None = None
 
     @property
     def db(self) -> CommunityDB:
         return self._db
 
-    @property
-    def address(self) -> tuple[str, int]:
-        if self._tcp is None:
-            raise RuntimeError("server not started")
-        return self._tcp.server_address[:2]
-
-    @property
-    def endpoint(self) -> str:
-        host, port = self.address
-        return f"{host}:{port}"
-
-    # --- lifecycle -----------------------------------------------------------
-
-    def start(self) -> "CasServer":
-        outer = self
-
-        class Handler(socketserver.BaseRequestHandler):
-            def handle(self):  # noqa: D102
-                outer._handle_connection(self.request)
-
-        class Server(socketserver.ThreadingTCPServer):
-            daemon_threads = True
-            allow_reuse_address = True
-
-        self._tcp = tcp = Server(self._listen, Handler)
-        self._thread = threading.Thread(
-            target=lambda: tcp.serve_forever(poll_interval=0.05),
-            name="casd", daemon=True)
-        self._thread.start()
-        logger.info("casd listening on %s", self.endpoint)
-        return self
-
-    def serve_forever(self) -> None:
-        if self._tcp is None:
-            self.start()
-        assert self._thread is not None
-        self._thread.join()
-
-    def shutdown(self) -> None:
-        if self._tcp is not None:
-            self._tcp.shutdown()
-            self._tcp.server_close()
-            self._tcp = None
-
-    # --- connection handling ------------------------------------------------------
-
     def _handle_connection(self, sock: socket.socket) -> None:
-        sock.settimeout(SESSION_TIMEOUT)
-        try:
-            subject = server_handshake(sock, self._chain, self._leaf_key,
-                                       self._db.trust_anchors, self._ctx,
-                                       self._clock(), self._scheme)
-        except CasError as exc:
-            logger.info("handshake rejected: %s", exc)
-            return
-        serve_messages(sock, lambda message: self._dispatch(message, subject))
+        subject = server_handshake(sock, self._chain, self._leaf_key,
+                                   self._db.trust_anchors, self._ctx, self._clock())
+        serve_messages(sock, lambda message: self._reply(message, subject))
 
     def _dispatch(self, message: dict[str, str],
                   subject: VerifiedSubject) -> dict[str, str]:
@@ -168,11 +73,8 @@ class CasServer:
             if kind == "REQUEST-CAPABILITY":
                 return self._handle_capability(message, subject)
             return {"msg": "ERROR", "reason": "bad-request"}
-        except CasError as exc:
-            logger.info("%s from %s failed: %s", kind, subject.identity, exc)
-            return _failure_reply(exc)
         except (ValueError, TypeError) as exc:
-            logger.info("%s from %s malformed: %s", kind, subject.identity, exc)
+            self.logger.info("%s from %s malformed: %s", kind, subject.identity, exc)
             return {"msg": "ERROR", "reason": "bad-request"}
 
     def _handle_admin(self, message: dict[str, str],

@@ -11,51 +11,23 @@ from typing import Any, Callable
 
 from ..clocks import system_clock
 from ..credential.certs import CertificateChain, decode_chain
-from ..credential.keys import DEFAULT_SCHEME, SignatureScheme
-from ..errors import (
-    Denied,
-    Expired,
-    IoError,
-    IsDirectory,
-    NotDirectory,
-    NotEnrolled,
-    NotFound,
-    NotAuthorized,
-    PathEscape,
-    ProtocolError,
-    RestrictedAuthRefused,
-)
+from ..credential.keys import DEFAULT_SCHEME
+from ..errors import REPLY_ERRORS, Denied, ProtocolError
 from ..policy.model import ALL, PolicyDocument
 from ..policy.text import serialize_policy
 from .session import ClientSession
 
-_DENIED_ERRORS = {
-    "denied": Denied,
-    "not-authorized": NotAuthorized,
-    "not-enrolled": NotEnrolled,
-    "restricted-chain": RestrictedAuthRefused,
-    "unknown-actor": NotAuthorized,
-}
 
-_ERROR_ERRORS = {
-    "not-found": NotFound,
-    "is-directory": IsDirectory,
-    "not-directory": NotDirectory,
-    "path-escape": PathEscape,
-    "io": IoError,
-    "expired": Expired,
-}
-
-
-def _raise_for(reply: dict[str, str], expected: str) -> dict[str, str]:
+def expect_reply(reply: dict[str, str], expected: str) -> dict[str, str]:
+    """Return a reply of the expected type; raise the error any other one names."""
     kind = reply["msg"]
     if kind == expected:
         return reply
     reason = reply.get("reason", "")
     if kind == "DENIED":
-        raise _DENIED_ERRORS.get(reason, Denied)(f"server denied: {reason}")
+        raise REPLY_ERRORS.get(reason, Denied)(f"server denied: {reason}")
     if kind == "ERROR":
-        raise _ERROR_ERRORS.get(reason, ProtocolError)(f"server error: {reason}")
+        raise REPLY_ERRORS.get(reason, ProtocolError)(f"server error: {reason}")
     raise ProtocolError(f"expected {expected}, got {kind}")
 
 
@@ -74,18 +46,17 @@ def capability_request_fields(want, session_pk: bytes, lifetime: int) -> dict[st
 
 def acquire_capability(cas_endpoint: tuple[str, int], user_chain: CertificateChain,
                        user_leaf_key: Any, want=ALL, lifetime: int = 43_200, *,
-                       trust_store, clock: Callable[[], int] = system_clock,
-                       scheme: SignatureScheme = DEFAULT_SCHEME):
+                       trust_store, clock: Callable[[], int] = system_clock):
     """Fetch a capability; returns (chain, session private key).
 
     A fresh session key pair is generated locally and its public half is
     what the returned chain binds; the private half never leaves this
     process.
     """
-    session_pk, session_key = scheme.generate()
+    session_pk, session_key = DEFAULT_SCHEME.generate()
     with ClientSession(cas_endpoint, user_chain, user_leaf_key, trust_store,
-                       clock=clock, scheme=scheme) as session:
-        reply = _raise_for(
+                       clock=clock) as session:
+        reply = expect_reply(
             session.request(capability_request_fields(want, session_pk, lifetime)),
             "CAPABILITY")
     chain = decode_chain(bytes.fromhex(reply["chain"]))
@@ -95,8 +66,7 @@ def acquire_capability(cas_endpoint: tuple[str, int], user_chain: CertificateCha
 def file_op(resource_endpoint: tuple[str, int], capability_chain: CertificateChain,
             session_key: Any, action: str, path: str,
             payload: bytes | None = None, *, trust_store,
-            clock: Callable[[], int] = system_clock,
-            scheme: SignatureScheme = DEFAULT_SCHEME):
+            clock: Callable[[], int] = system_clock):
     """Run one file operation; read returns bytes, list a name list.
 
     Each call opens its own connection, so one capability serves any
@@ -106,8 +76,8 @@ def file_op(resource_endpoint: tuple[str, int], capability_chain: CertificateCha
     if payload is not None:
         fields["data"] = payload.hex()
     with ClientSession(resource_endpoint, capability_chain, session_key,
-                       trust_store, clock=clock, scheme=scheme) as session:
-        reply = _raise_for(session.request(fields), "OK")
+                       trust_store, clock=clock) as session:
+        reply = expect_reply(session.request(fields), "OK")
     if action == "read":
         return bytes.fromhex(reply.get("data", ""))
     if action == "list":
@@ -118,10 +88,9 @@ def file_op(resource_endpoint: tuple[str, int], capability_chain: CertificateCha
 
 def admin_command(cas_endpoint: tuple[str, int], cred_chain: CertificateChain,
                   leaf_key: Any, verb: str, args, *, trust_store,
-                  clock: Callable[[], int] = system_clock,
-                  scheme: SignatureScheme = DEFAULT_SCHEME) -> dict[str, str]:
+                  clock: Callable[[], int] = system_clock) -> dict[str, str]:
     """Send one ADMIN command; returns the OK reply fields."""
     fields = {"msg": "ADMIN", "verb": verb, "args": " ".join(args)}
     with ClientSession(cas_endpoint, cred_chain, leaf_key, trust_store,
-                       clock=clock, scheme=scheme) as session:
-        return _raise_for(session.request(fields), "OK")
+                       clock=clock) as session:
+        return expect_reply(session.request(fields), "OK")

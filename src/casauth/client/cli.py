@@ -21,21 +21,7 @@ from ..credential.certs import (
 from ..credential.issue import CertificateAuthority
 from ..credfile import load_credential, save_credential
 from ..casd.config import split_endpoint
-from ..errors import (
-    BadSignature,
-    CasError,
-    Denied,
-    Expired,
-    HandshakeError,
-    MalformedChain,
-    NotAuthorized,
-    NotEnrolled,
-    RestrictedAuthRefused,
-    RestrictionRefused,
-    TransportError,
-    UnknownPolicyLanguage,
-    UntrustedRoot,
-)
+from ..errors import CasError, Refused, TransportError
 from ..policy.model import ALL
 from ..policy.text import parse_policy
 from .api import acquire_capability, admin_command, file_op
@@ -51,15 +37,11 @@ PROXY_ENV = "CAS_PROXY"
 TRUST_ENV = "CAS_TRUST_STORE"
 DEFAULT_PROXY = "./cas-proxy"
 
-_DENIED_TYPES = (Denied, NotEnrolled, NotAuthorized, RestrictedAuthRefused)
-_AUTH_TYPES = (HandshakeError, Expired, UntrustedRoot, BadSignature,
-               MalformedChain, RestrictionRefused, UnknownPolicyLanguage)
-
 
 def exit_code_for(exc: CasError) -> int:
-    if isinstance(exc, _DENIED_TYPES):
+    if isinstance(exc, Refused):
         return EXIT_DENIED
-    if isinstance(exc, _AUTH_TYPES):
+    if exc.reason in ("auth", "expired"):
         return EXIT_AUTH
     if isinstance(exc, TransportError):
         return EXIT_TRANSPORT

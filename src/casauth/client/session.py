@@ -7,7 +7,6 @@ from typing import Any, Callable
 
 from ..clocks import system_clock
 from ..credential.certs import CertificateChain
-from ..credential.keys import DEFAULT_SCHEME, SignatureScheme
 from ..credential.verify import EnforcementContext, VerifiedSubject
 from ..errors import TransportError
 from ..wire.frames import read_message, send_message
@@ -25,14 +24,12 @@ class ClientSession:
 
     def __init__(self, endpoint: tuple[str, int], chain: CertificateChain,
                  leaf_key: Any, trust_store, *,
-                 clock: Callable[[], int] = system_clock,
-                 scheme: SignatureScheme = DEFAULT_SCHEME):
+                 clock: Callable[[], int] = system_clock):
         self._endpoint = endpoint
         self._chain = chain
         self._leaf_key = leaf_key
         self._trust_store = tuple(trust_store)
         self._clock = clock
-        self._scheme = scheme
         self._sock: socket.socket | None = None
         self.peer: VerifiedSubject | None = None
 
@@ -45,7 +42,7 @@ class ClientSession:
         try:
             self.peer = client_handshake(self._sock, self._chain, self._leaf_key,
                                          self._trust_store, self._clock(),
-                                         EnforcementContext(), self._scheme)
+                                         EnforcementContext())
         except BaseException:
             self.close()
             raise

@@ -22,7 +22,7 @@ from .certs import (
     KIND_PROXY,
     KIND_TRUST_ANCHOR,
 )
-from .keys import DEFAULT_SCHEME, SignatureScheme
+from .keys import DEFAULT_SCHEME
 
 _serial_lock = threading.Lock()
 _serials: dict[str, int] = {}
@@ -41,13 +41,12 @@ def reset_serial_counters() -> None:
         _serials.clear()
 
 
-def _signed(cert: Certificate, signer_key: Any, scheme: SignatureScheme) -> Certificate:
-    return replace(cert, signature=scheme.sign(signer_key, certificate_body(cert)))
+def _signed(cert: Certificate, signer_key: Any) -> Certificate:
+    return replace(cert, signature=DEFAULT_SCHEME.sign(signer_key, certificate_body(cert)))
 
 
 def make_trust_anchor(name: str, public_key: bytes, private_key: Any,
-                      validity: ValidityInterval,
-                      scheme: SignatureScheme = DEFAULT_SCHEME) -> Certificate:
+                      validity: ValidityInterval) -> Certificate:
     """Self-signed root certificate placed in trust stores."""
     if validity.is_empty:
         raise InvalidInterval(f"empty validity [{validity.not_before}, {validity.not_after}]")
@@ -59,12 +58,11 @@ def make_trust_anchor(name: str, public_key: bytes, private_key: Any,
         validity=validity,
         kind=KIND_TRUST_ANCHOR,
     )
-    return _signed(cert, private_key, scheme)
+    return _signed(cert, private_key)
 
 
 def issue_identity(ca_name: str, ca_private_key: Any, subject_name: str,
-                   subject_pk: bytes, validity: ValidityInterval,
-                   scheme: SignatureScheme = DEFAULT_SCHEME) -> Certificate:
+                   subject_pk: bytes, validity: ValidityInterval) -> Certificate:
     """Issue a long-term identity certificate signed by the CA key."""
     if validity.is_empty:
         raise InvalidInterval(f"empty validity [{validity.not_before}, {validity.not_after}]")
@@ -76,7 +74,7 @@ def issue_identity(ca_name: str, ca_private_key: Any, subject_name: str,
         validity=validity,
         kind=KIND_IDENTITY,
     )
-    return _signed(cert, ca_private_key, scheme)
+    return _signed(cert, ca_private_key)
 
 
 def check_chain_structure(chain: CertificateChain) -> None:
@@ -100,21 +98,20 @@ def check_chain_structure(chain: CertificateChain) -> None:
             raise MalformedChain(f"proxy {i} subject and issuer differ")
 
 
-def check_chain_linkage(chain: CertificateChain,
-                        scheme: SignatureScheme = DEFAULT_SCHEME) -> None:
+def check_chain_linkage(chain: CertificateChain) -> None:
     """Raise BadSignature unless each proxy is signed by its predecessor's key."""
     certs = chain.certs
     for i in range(1, len(certs)):
         signer_pk = certs[i - 1].subject_public_key
-        if not scheme.verify(signer_pk, certificate_body(certs[i]), certs[i].signature):
+        if not DEFAULT_SCHEME.verify(signer_pk, certificate_body(certs[i]),
+                                     certs[i].signature):
             raise BadSignature(f"proxy {i} signature does not verify under its predecessor")
 
 
 def delegate(issuer_chain: CertificateChain, issuer_leaf_private_key: Any,
              subject_pk: bytes, validity: ValidityInterval,
              restriction: RestrictionPolicy | None = None,
-             proxy_group: str | None = None,
-             scheme: SignatureScheme = DEFAULT_SCHEME) -> CertificateChain:
+             proxy_group: str | None = None) -> CertificateChain:
     """Extend a chain with one proxy certificate binding ``subject_pk``.
 
     The subject generates its own key pair and hands over only the public
@@ -125,7 +122,7 @@ def delegate(issuer_chain: CertificateChain, issuer_leaf_private_key: Any,
         raise InvalidInterval(f"empty validity [{validity.not_before}, {validity.not_after}]")
     check_chain_structure(issuer_chain)
     try:
-        check_chain_linkage(issuer_chain, scheme)
+        check_chain_linkage(issuer_chain)
     except BadSignature as exc:
         raise MalformedChain(str(exc)) from None
 
@@ -140,8 +137,8 @@ def delegate(issuer_chain: CertificateChain, issuer_leaf_private_key: Any,
         restriction=restriction,
         proxy_group=proxy_group,
     )
-    proxy = _signed(proxy, issuer_leaf_private_key, scheme)
-    if not scheme.verify(issuer_chain.leaf.subject_public_key,
+    proxy = _signed(proxy, issuer_leaf_private_key)
+    if not DEFAULT_SCHEME.verify(issuer_chain.leaf.subject_public_key,
                          certificate_body(proxy), proxy.signature):
         raise ValueError("private key does not match the chain's leaf public key")
     return issuer_chain.extended(proxy)
@@ -155,23 +152,22 @@ class CertificateAuthority:
     public_key: bytes
     private_key: Any
     certificate: Certificate
-    scheme: SignatureScheme = DEFAULT_SCHEME
 
     @classmethod
     def create(cls, name: str, validity: ValidityInterval,
-               scheme: SignatureScheme = DEFAULT_SCHEME, rng=None) -> "CertificateAuthority":
-        public_key, private_key = scheme.generate(rng)
-        anchor = make_trust_anchor(name, public_key, private_key, validity, scheme)
-        return cls(name, public_key, private_key, anchor, scheme)
+               rng=None) -> "CertificateAuthority":
+        public_key, private_key = DEFAULT_SCHEME.generate(rng)
+        anchor = make_trust_anchor(name, public_key, private_key, validity)
+        return cls(name, public_key, private_key, anchor)
 
     def issue_identity(self, subject_name: str, subject_pk: bytes,
                        validity: ValidityInterval) -> Certificate:
         return issue_identity(self.name, self.private_key, subject_name,
-                              subject_pk, validity, self.scheme)
+                              subject_pk, validity)
 
     def issue_credential(self, subject_name: str, validity: ValidityInterval,
                          rng=None) -> tuple[CertificateChain, Any]:
         """Generate a key pair and issue an identity chain for it."""
-        public_key, private_key = self.scheme.generate(rng)
+        public_key, private_key = DEFAULT_SCHEME.generate(rng)
         cert = self.issue_identity(subject_name, public_key, validity)
         return CertificateChain((cert,)), private_key

@@ -1,55 +1,20 @@
-"""Signature schemes that certificates are built on.
+"""The signature scheme certificates are built on.
 
-The certificate layer never touches a concrete algorithm; it goes through
-the SignatureScheme interface. The shipped implementation is Ed25519 with
-raw 32-byte public keys, which keeps canonical encodings small and makes
-signing deterministic (useful for reproducible fixtures).
+Ed25519 with raw 32-byte public keys, which keeps canonical encodings
+small and makes signing deterministic (useful for reproducible fixtures).
+Everything signs and verifies through ``DEFAULT_SCHEME``.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-from typing import Any
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-
-PrivateKey = Any  # opaque handle, meaningful only to the scheme that made it
-
-
-class SignatureScheme:
-    """Interface for generating keys and signing/verifying byte strings."""
-
-    name: str = "abstract"
-
-    def generate(self, rng=None) -> tuple[bytes, PrivateKey]:
-        """Return (public key bytes, private key handle).
-
-        ``rng`` may be a ``random.Random``; when given, key material is
-        drawn from it so fixtures can be reproduced from a seed.
-        """
-        raise NotImplementedError
-
-    def sign(self, private_key: PrivateKey, message: bytes) -> bytes:
-        raise NotImplementedError
-
-    def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
-        raise NotImplementedError
-
-    def private_bytes(self, private_key: PrivateKey) -> bytes:
-        """Serialize a private key handle (for credential files)."""
-        raise NotImplementedError
-
-    def load_private(self, data: bytes) -> PrivateKey:
-        raise NotImplementedError
-
-    def public_bytes(self, private_key: PrivateKey) -> bytes:
-        """The public key matching a private handle."""
-        raise NotImplementedError
 
 
 @functools.lru_cache(maxsize=65536)
@@ -64,10 +29,15 @@ def _ed25519_verify(public_key: bytes, message: bytes, signature: bytes) -> bool
     return True
 
 
-class Ed25519Scheme(SignatureScheme):
-    name = "ed25519"
+class Ed25519Scheme:
+    """Key generation, signing and verification over byte strings."""
 
     def generate(self, rng=None) -> tuple[bytes, Ed25519PrivateKey]:
+        """Return (public key bytes, private key).
+
+        ``rng`` may be a ``random.Random``; when given, key material is
+        drawn from it so fixtures can be reproduced from a seed.
+        """
         seed = rng.randbytes(32) if rng is not None else os.urandom(32)
         private = Ed25519PrivateKey.from_private_bytes(seed)
         return private.public_key().public_bytes_raw(), private
@@ -79,13 +49,11 @@ class Ed25519Scheme(SignatureScheme):
         return _ed25519_verify(bytes(public_key), bytes(message), bytes(signature))
 
     def private_bytes(self, private_key: Ed25519PrivateKey) -> bytes:
+        """Serialize a private key (for credential files)."""
         return private_key.private_bytes_raw()
 
     def load_private(self, data: bytes) -> Ed25519PrivateKey:
         return Ed25519PrivateKey.from_private_bytes(data)
-
-    def public_bytes(self, private_key: Ed25519PrivateKey) -> bytes:
-        return private_key.public_key().public_bytes_raw()
 
 
 DEFAULT_SCHEME = Ed25519Scheme()

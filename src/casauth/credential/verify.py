@@ -25,7 +25,7 @@ from .certs import (
     certificate_body,
 )
 from .issue import check_chain_linkage, check_chain_structure
-from .keys import DEFAULT_SCHEME, SignatureScheme
+from .keys import DEFAULT_SCHEME
 
 
 @dataclass(frozen=True)
@@ -72,18 +72,17 @@ def effective_validity(chain: CertificateChain) -> ValidityInterval:
     return interval
 
 
-def _check_root_trust(head: Certificate, trust_store, scheme: SignatureScheme) -> None:
+def _check_root_trust(head: Certificate, trust_store) -> None:
     body = certificate_body(head)
     for anchor in trust_store:
-        if scheme.verify(anchor.subject_public_key, body, head.signature):
+        if DEFAULT_SCHEME.verify(anchor.subject_public_key, body, head.signature):
             return
     raise UntrustedRoot(f"identity certificate of {head.subject_name!r} "
                         "is not signed by any trusted key")
 
 
 def verify_chain(chain: CertificateChain, trust_store, now: int,
-                 ctx: EnforcementContext,
-                 scheme: SignatureScheme = DEFAULT_SCHEME) -> VerifiedSubject:
+                 ctx: EnforcementContext) -> VerifiedSubject:
     """Verify a chain at time ``now`` against a set of trust anchors.
 
     Raises MalformedChain, UntrustedRoot, BadSignature, Expired,
@@ -95,8 +94,8 @@ def verify_chain(chain: CertificateChain, trust_store, now: int,
         raise ValueError("trust store must be nonempty")
 
     check_chain_structure(chain)
-    _check_root_trust(chain.certs[0], trust_store, scheme)
-    check_chain_linkage(chain, scheme)
+    _check_root_trust(chain.certs[0], trust_store)
+    check_chain_linkage(chain)
 
     try:
         validity = effective_validity(chain)

@@ -14,16 +14,15 @@ import os
 from typing import Any
 
 from .credential.certs import CertificateChain, decode_chain, encode_chain
-from .credential.keys import DEFAULT_SCHEME, SignatureScheme
+from .credential.keys import DEFAULT_SCHEME
 from .errors import IoError, ParseError
 
 _KEY_PREFIX = "private-key: "
 
 
-def save_credential(path, chain: CertificateChain, private_key: Any,
-                    scheme: SignatureScheme = DEFAULT_SCHEME) -> None:
-    data = encode_chain(chain) + (
-        _KEY_PREFIX + scheme.private_bytes(private_key).hex() + "\n").encode("utf-8")
+def save_credential(path, chain: CertificateChain, private_key: Any) -> None:
+    key_line = _KEY_PREFIX + DEFAULT_SCHEME.private_bytes(private_key).hex() + "\n"
+    data = encode_chain(chain) + key_line.encode("utf-8")
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
         with os.fdopen(fd, "wb") as fh:
@@ -32,7 +31,7 @@ def save_credential(path, chain: CertificateChain, private_key: Any,
         raise IoError(f"cannot write credential {path}: {exc}") from None
 
 
-def load_credential(path, scheme: SignatureScheme = DEFAULT_SCHEME):
+def load_credential(path):
     """Return (chain, private key handle)."""
     try:
         with open(path, "rb") as fh:
@@ -49,7 +48,7 @@ def load_credential(path, scheme: SignatureScheme = DEFAULT_SCHEME):
         raise ParseError("credential file must end with a private-key line")
     try:
         key_bytes = bytes.fromhex(lines[-2][len(_KEY_PREFIX):])
-        private_key = scheme.load_private(key_bytes)
+        private_key = DEFAULT_SCHEME.load_private(key_bytes)
     except ValueError as exc:
         raise ParseError(f"bad private key: {exc}") from None
     chain = decode_chain(("\n".join(lines[:-2]) + "\n").encode("utf-8"))

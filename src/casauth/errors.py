@@ -2,12 +2,22 @@
 
 Every failure surfaced by this package is a CasError subclass so callers
 (and the CLI exit-code mapping) can dispatch on type instead of message
-text.
+text. Each class names its ``reason``: the word a server puts in a
+``DENIED`` or ``ERROR`` reply, and the outcome kind scenario scripts
+assert on. ``Refused`` errors are the ones answered with ``DENIED``.
 """
 
 
 class CasError(Exception):
     """Base class for all errors raised by this package."""
+
+    reason = "internal"
+
+
+class Refused(CasError):
+    """The request was understood and policy says no."""
+
+    reason = "denied"
 
 
 # --- credential layer -------------------------------------------------------
@@ -15,39 +25,57 @@ class CasError(Exception):
 class InvalidInterval(CasError):
     """A validity interval with not_before > not_after."""
 
+    reason = "invalid-interval"
+
 
 class EmptyIntersection(CasError):
     """The intersection of the chain's validity intervals is empty."""
+
+    reason = "empty-intersection"
 
 
 class MalformedChain(CasError):
     """A certificate chain violating a structural invariant."""
 
+    reason = "auth"
+
 
 class BadSignature(CasError):
     """A proxy certificate whose signature does not verify."""
+
+    reason = "auth"
 
 
 class UntrustedRoot(CasError):
     """The first certificate is not signed by any trust-store key."""
 
+    reason = "auth"
+
 
 class Expired(CasError):
     """The verification time lies outside the effective validity."""
+
+    reason = "expired"
 
 
 class RestrictionRefused(CasError):
     """A restricted chain presented to an unwilling verifier."""
 
+    reason = "auth"
+
 
 class UnknownPolicyLanguage(CasError):
     """A restriction in a language the verifier cannot evaluate."""
+
+    reason = "auth"
 
 
 # --- encodings ---------------------------------------------------------------
 
 class ParseError(CasError):
     """Malformed input to one of the canonical text decoders."""
+
+    reason = "parse"
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -70,71 +98,90 @@ class UnsupportedLanguage(ParseError):
 
 # --- community database and administration -----------------------------------
 
-class UnknownActor(CasError):
+class NotAuthorized(Refused):
+    reason = "not-authorized"
+
+
+class UnknownActor(NotAuthorized):
     """Admin request from an identity that is neither enrolled nor bootstrap."""
 
-
-class NotAuthorized(CasError):
-    pass
+    reason = "unknown-actor"
 
 
 class DuplicateName(CasError):
-    pass
+    reason = "duplicate-name"
 
 
 class UnknownName(CasError):
-    pass
+    reason = "unknown-name"
 
 
 class InvariantViolation(CasError):
     """A mutation or snapshot that would break a database invariant."""
 
+    reason = "invariant"
+
 
 # --- capability issuance -------------------------------------------------------
 
-class Denied(CasError):
+class Denied(Refused):
     """The request intersected with held rights grants nothing."""
 
 
-class NotEnrolled(CasError):
-    pass
+class NotEnrolled(Refused):
+    reason = "not-enrolled"
 
 
-class RestrictedAuthRefused(CasError):
+class RestrictedAuthRefused(Refused):
     """Capability or admin requests must use an unrestricted credential."""
+
+    reason = "restricted-chain"
 
 
 # --- file service ---------------------------------------------------------------
 
 class NotFound(CasError):
-    pass
+    reason = "not-found"
 
 
 class IsDirectory(CasError):
-    pass
+    reason = "is-directory"
 
 
 class NotDirectory(CasError):
-    pass
+    reason = "not-directory"
 
 
 class PathEscape(CasError):
     """Path normalization rejected an object name (traversal attempt)."""
 
+    reason = "path-escape"
+
 
 class IoError(CasError):
     """Operating-system level failure while touching the virtual root."""
+
+    reason = "io"
 
 
 # --- transport -------------------------------------------------------------------
 
 class TransportError(CasError):
-    pass
+    reason = "transport"
 
 
 class HandshakeError(CasError):
-    pass
+    reason = "auth"
 
 
 class ProtocolError(CasError):
     """A frame that does not parse or a reply of an unexpected type."""
+
+    reason = "protocol"
+
+
+# The class a client raises for each reason a server replies with.
+REPLY_ERRORS: dict[str, type[CasError]] = {cls.reason: cls for cls in (
+    Denied, NotAuthorized, UnknownActor, NotEnrolled, RestrictedAuthRefused,
+    DuplicateName, UnknownName, InvariantViolation, ParseError, Expired,
+    NotFound, IsDirectory, NotDirectory, PathEscape, IoError)}

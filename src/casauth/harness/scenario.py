@@ -14,7 +14,8 @@
     step file-op ftp1 cred=cap1 action=read path=/esg/data/t42.nc
     step assert-error expired
 
-Operations record their outcome ("ok", "deny", or an error kind); each
+Operations record their outcome ("ok", "deny", or an error kind, which is
+the failure's ``CasError.reason``); each
 assert step checks the most recent outcome and lands in the Report. User
 credentials are provisioned on first use, issued by the CA of the server
 the step talks to, so runs are reproducible from the seed alone.
@@ -25,22 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..client.api import acquire_capability, admin_command, file_op
-from ..errors import (
-    CasError,
-    Denied,
-    Expired,
-    HandshakeError,
-    IsDirectory,
-    NotAuthorized,
-    NotDirectory,
-    NotEnrolled,
-    NotFound,
-    ParseError,
-    PathEscape,
-    ProtocolError,
-    RestrictedAuthRefused,
-    TransportError,
-)
+from ..errors import CasError, ParseError, Refused
 from ..policy.model import ALL
 from .runtime import DEFAULT_BOOTSTRAP_ADMIN, Deployment, make_policy
 
@@ -48,23 +34,11 @@ STEP_VERBS = ("spawn-ca", "spawn-cas", "spawn-resource", "admin", "acquire",
               "file-op", "advance-clock", "assert-permit", "assert-deny",
               "assert-error")
 
-_DENY_TYPES = (Denied, NotEnrolled, NotAuthorized, RestrictedAuthRefused)
-
-_ERROR_KINDS = (
-    (Expired, "expired"),
-    (NotFound, "not-found"),
-    (HandshakeError, "auth"),
-    (TransportError, "transport"),
-    (PathEscape, "path-escape"),
-    (IsDirectory, "is-directory"),
-    (NotDirectory, "not-directory"),
-    (ParseError, "parse"),
-    (ProtocolError, "protocol"),
-)
-
 
 class ScenarioError(CasError):
     """A script that cannot run: bad verb, bad reference, bad argument."""
+
+    reason = "scenario"
 
     def __init__(self, step_index: int, message: str):
         super().__init__(f"step {step_index}: {message}")
@@ -135,12 +109,7 @@ def _options(args, index: int) -> dict[str, str]:
 
 
 def _outcome_of(exc: CasError) -> tuple[str, ...]:
-    if isinstance(exc, _DENY_TYPES):
-        return ("deny",)
-    for klass, kind in _ERROR_KINDS:
-        if isinstance(exc, klass):
-            return ("error", kind)
-    return ("error", type(exc).__name__.lower())
+    return ("deny",) if isinstance(exc, Refused) else ("error", exc.reason)
 
 
 class _Runner:

@@ -7,7 +7,7 @@ from .grants import (
     save_grant_table,
     serialize_grant_table,
 )
-from .server import ResourceServer, serve_resource
+from .server import ResourceServer
 from .storage import VirtualRoot, handle_file_op
 
 __all__ = [
@@ -22,5 +22,4 @@ __all__ = [
     "parse_grant_table",
     "save_grant_table",
     "serialize_grant_table",
-    "serve_resource",
 ]

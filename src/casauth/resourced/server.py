@@ -16,112 +16,43 @@ from __future__ import annotations
 
 import logging
 import socket
-import socketserver
 import threading
 from pathlib import Path
 from typing import Any, Callable
 
 from ..clocks import system_clock
 from ..credential.certs import CertificateChain
-from ..credential.keys import DEFAULT_SCHEME, SignatureScheme
-from ..credential.verify import EnforcementContext
-from ..errors import (
-    CasError,
-    IoError,
-    IsDirectory,
-    NotDirectory,
-    NotFound,
-    ParseError,
-    PathEscape,
-)
 from ..policy.engine import EvaluatorRegistry
-from ..policy.model import LANGUAGE, Request
+from ..policy.model import Request
 from ..wire.frames import serve_messages
 from ..wire.handshake import server_handshake
+from ..wire.server import AuthenticatedServer
 from .authz import LocalGrantTable, ServiceRegistry, authorize
 from .storage import VirtualRoot, handle_file_op
 
-logger = logging.getLogger("casauth.resourced")
 
-SESSION_TIMEOUT = 30.0
-
-_ERROR_REASONS = (
-    (NotFound, "not-found"),
-    (IsDirectory, "is-directory"),
-    (NotDirectory, "not-directory"),
-    (PathEscape, "path-escape"),
-    (IoError, "io"),
-    (ParseError, "parse"),
-)
-
-
-class ResourceServer:
+class ResourceServer(AuthenticatedServer):
     """Serves a virtual root under two-sided authorization."""
+
+    name = "resourced"
+    logger = logging.getLogger("casauth.resourced")
+    error_reasons = frozenset({"not-found", "is-directory", "not-directory",
+                               "path-escape", "io", "parse"})
 
     def __init__(self, table: LocalGrantTable, root: Path | str,
                  chain: CertificateChain, leaf_key: Any,
                  *, listen: tuple[str, int] = ("127.0.0.1", 0),
                  trust_store=None,
                  registry: ServiceRegistry | None = None,
-                 clock: Callable[[], int] = system_clock,
-                 scheme: SignatureScheme = DEFAULT_SCHEME):
+                 clock: Callable[[], int] = system_clock):
+        super().__init__(chain, leaf_key, listen, clock)
         self._table = dict(table)
         self._root = VirtualRoot(Path(root))
-        self._chain = chain
-        self._leaf_key = leaf_key
-        self._listen = listen
         self._trust_store = tuple(trust_store or ())
         self._registry = registry or ServiceRegistry()
-        self._clock = clock
-        self._scheme = scheme
         self._evaluators = EvaluatorRegistry()
-        self._ctx = EnforcementContext(True, frozenset({LANGUAGE}))
         self._path_locks: dict[str, threading.Lock] = {}
         self._path_locks_guard = threading.Lock()
-        self._tcp: socketserver.ThreadingTCPServer | None = None
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        if self._tcp is None:
-            raise RuntimeError("server not started")
-        return self._tcp.server_address[:2]
-
-    @property
-    def endpoint(self) -> str:
-        host, port = self.address
-        return f"{host}:{port}"
-
-    def start(self) -> "ResourceServer":
-        outer = self
-
-        class Handler(socketserver.BaseRequestHandler):
-            def handle(self):  # noqa: D102
-                outer._handle_connection(self.request)
-
-        class Server(socketserver.ThreadingTCPServer):
-            daemon_threads = True
-            allow_reuse_address = True
-
-        self._tcp = tcp = Server(self._listen, Handler)
-        self._thread = threading.Thread(
-            target=lambda: tcp.serve_forever(poll_interval=0.05),
-            name="resourced", daemon=True)
-        self._thread.start()
-        logger.info("resourced listening on %s, root %s", self.endpoint, self._root.root)
-        return self
-
-    def serve_forever(self) -> None:
-        if self._tcp is None:
-            self.start()
-        assert self._thread is not None
-        self._thread.join()
-
-    def shutdown(self) -> None:
-        if self._tcp is not None:
-            self._tcp.shutdown()
-            self._tcp.server_close()
-            self._tcp = None
 
     def set_grant_table(self, table: LocalGrantTable) -> None:
         """Swap the grant table (reference assignment, safe mid-session)."""
@@ -132,15 +63,9 @@ class ResourceServer:
             return self._path_locks.setdefault(path, threading.Lock())
 
     def _handle_connection(self, sock: socket.socket) -> None:
-        sock.settimeout(SESSION_TIMEOUT)
-        try:
-            subject = server_handshake(sock, self._chain, self._leaf_key,
-                                       self._trust_store, self._ctx,
-                                       self._clock(), self._scheme)
-        except CasError as exc:
-            logger.info("handshake rejected: %s", exc)
-            return
-        serve_messages(sock, lambda message: self._dispatch(message, subject))
+        subject = server_handshake(sock, self._chain, self._leaf_key,
+                                   self._trust_store, self._ctx, self._clock())
+        serve_messages(sock, lambda message: self._reply(message, subject))
 
     def _dispatch(self, message, subject) -> dict[str, str]:
         if message["msg"] != "FILE-OP":
@@ -156,19 +81,13 @@ class ResourceServer:
 
         if not authorize(self._table, subject, self._registry, req,
                          self._evaluators).is_permit:
-            logger.info("denied %s %s for %s", action, path, subject.identity)
+            self.logger.info("denied %s %s for %s", action, path, subject.identity)
             return {"msg": "DENIED", "reason": "denied"}
-        try:
-            if action == "write":
-                with self._lock_for(path):
-                    result = handle_file_op(self._root, req, payload)
-            else:
+        if action == "write":
+            with self._lock_for(path):
                 result = handle_file_op(self._root, req, payload)
-        except CasError as exc:
-            for klass, reason in _ERROR_REASONS:
-                if isinstance(exc, klass):
-                    return {"msg": "ERROR", "reason": reason}
-            return {"msg": "ERROR", "reason": "internal"}
+        else:
+            result = handle_file_op(self._root, req, payload)
 
         reply = {"msg": "OK"}
         if action == "read":
@@ -176,15 +95,3 @@ class ResourceServer:
         elif action == "list":
             reply["data"] = "\n".join(result).encode("utf-8").hex()
         return reply
-
-
-def serve_resource(listen_endpoint: tuple[str, int],
-                   server_credential: tuple[CertificateChain, Any],
-                   trust_store, table: LocalGrantTable, root) -> ResourceServer:
-    """Construct and start a resource server; blocks forever."""
-    chain, leaf_key = server_credential
-    server = ResourceServer(table, root, chain, leaf_key,
-                            listen=listen_endpoint, trust_store=trust_store)
-    server.start()
-    server.serve_forever()
-    return server

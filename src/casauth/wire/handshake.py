@@ -20,7 +20,7 @@ import socket
 from typing import Any
 
 from ..credential.certs import CertificateChain, decode_chain, encode_chain
-from ..credential.keys import DEFAULT_SCHEME, SignatureScheme
+from ..credential.keys import DEFAULT_SCHEME
 from ..credential.verify import EnforcementContext, VerifiedSubject, verify_chain
 from ..errors import CasError, Expired, HandshakeError, ProtocolError
 from .frames import read_message, send_message
@@ -56,8 +56,7 @@ def _expect(fields: dict[str, str] | None, msg_type: str) -> dict[str, str]:
 
 
 def server_handshake(sock: socket.socket, chain: CertificateChain, leaf_key: Any,
-                     trust_store, ctx: EnforcementContext, now: int,
-                     scheme: SignatureScheme = DEFAULT_SCHEME) -> VerifiedSubject:
+                     trust_store, ctx: EnforcementContext, now: int) -> VerifiedSubject:
     """Run the server side; returns the verified client subject.
 
     Raises the verification error (after sending the terminal ERROR frame)
@@ -74,7 +73,7 @@ def server_handshake(sock: socket.socket, chain: CertificateChain, leaf_key: Any
     client_nonce = _hex_bytes(hello, "nonce", NONCE_BYTES)
     try:
         client_chain = decode_chain(_hex_bytes(hello, "chain"))
-        subject = verify_chain(client_chain, trust_store, now, ctx, scheme)
+        subject = verify_chain(client_chain, trust_store, now, ctx)
     except CasError as exc:
         reason = "expired" if isinstance(exc, Expired) else "auth"
         try:
@@ -88,7 +87,7 @@ def server_handshake(sock: socket.socket, chain: CertificateChain, leaf_key: Any
         "msg": "CHALLENGE",
         "chain": encode_chain(chain).hex(),
         "nonce": server_nonce.hex(),
-        "sig": scheme.sign(leaf_key, client_nonce + server_nonce).hex(),
+        "sig": DEFAULT_SCHEME.sign(leaf_key, client_nonce + server_nonce).hex(),
     })
 
     try:
@@ -98,15 +97,15 @@ def server_handshake(sock: socket.socket, chain: CertificateChain, leaf_key: Any
     if response is None or response["msg"] != "RESPONSE":
         raise HandshakeError("expected RESPONSE")
     sig = _hex_bytes(response, "sig")
-    if not scheme.verify(subject.leaf_public_key, server_nonce + client_nonce, sig):
+    if not DEFAULT_SCHEME.verify(subject.leaf_public_key,
+                                 server_nonce + client_nonce, sig):
         raise HandshakeError("client failed proof of possession")
     return subject
 
 
 def client_handshake(sock: socket.socket, chain: CertificateChain, leaf_key: Any,
                      trust_store, now: int,
-                     ctx: EnforcementContext | None = None,
-                     scheme: SignatureScheme = DEFAULT_SCHEME) -> VerifiedSubject:
+                     ctx: EnforcementContext | None = None) -> VerifiedSubject:
     """Run the client side; returns the verified server subject."""
     if ctx is None:
         ctx = EnforcementContext()
@@ -125,12 +124,12 @@ def client_handshake(sock: socket.socket, chain: CertificateChain, leaf_key: Any
         server_chain = decode_chain(_hex_bytes(challenge, "chain"))
     except CasError as exc:
         raise HandshakeError(f"undecodable server chain: {exc}") from None
-    peer = verify_chain(server_chain, trust_store, now, ctx, scheme)
+    peer = verify_chain(server_chain, trust_store, now, ctx)
     sig = _hex_bytes(challenge, "sig")
-    if not scheme.verify(peer.leaf_public_key, client_nonce + server_nonce, sig):
+    if not DEFAULT_SCHEME.verify(peer.leaf_public_key, client_nonce + server_nonce, sig):
         raise HandshakeError("server failed proof of possession")
     send_message(sock, {
         "msg": "RESPONSE",
-        "sig": scheme.sign(leaf_key, server_nonce + client_nonce).hex(),
+        "sig": DEFAULT_SCHEME.sign(leaf_key, server_nonce + client_nonce).hex(),
     })
     return peer

@@ -163,3 +163,17 @@ def test_scenario_cli_reports_failures(tmp_path, capsys):
         "step assert-permit\n")
     assert main(["run", str(script)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_admin_failures_record_their_reason_as_the_kind():
+    report = run_scenario(parse_script("""
+step spawn-ca alpha
+step spawn-cas esg ca=alpha
+step admin esg enroll-user alice CN=alice
+step assert-permit
+step admin esg enroll-user alice CN=alice
+step assert-error duplicate-name
+step admin esg unenroll-user nobody
+step assert-error unknown-name
+"""))
+    assert report.ok, report.lines()

@@ -5,12 +5,16 @@ import struct
 
 import pytest
 
+import casauth.casd.server as casd_server
+import casauth.credential.keys as keys
+import casauth.resourced.server as resourced_server
 from casauth.casd.db import CommunityDB, load_db
 from casauth.casd.server import CasServer
 from casauth.client.api import (
     acquire_capability,
     admin_command,
     capability_request_fields,
+    expect_reply,
     file_op,
 )
 from casauth.clocks import ManualClock
@@ -19,13 +23,19 @@ from casauth.credential.issue import CertificateAuthority
 from casauth.credential.keys import DEFAULT_SCHEME
 from casauth.credential.verify import EnforcementContext, verify_chain
 from casauth.errors import (
+    REPLY_ERRORS,
     Denied,
+    DuplicateName,
     Expired,
+    IoError,
     NotAuthorized,
     NotEnrolled,
     NotFound,
+    ProtocolError,
+    Refused,
     RestrictedAuthRefused,
     TransportError,
+    UnknownName,
 )
 from casauth.policy.model import ALL, Request
 from casauth.policy.engine import evaluate
@@ -315,3 +325,73 @@ def test_concurrent_writes_never_interleave(world):
     assert not failures
     final = (world["root"] / "esg" / "data" / "contended").read_bytes()
     assert final in (payload_a, payload_b)
+
+
+# --- the error vocabulary on the wire ------------------------------------------
+
+SERVER_REPLIES = [
+    (server, cls) for server in (CasServer, ResourceServer)
+    for cls in REPLY_ERRORS.values()
+    if cls.reason in server.error_reasons
+    or (server is CasServer and issubclass(cls, Refused))
+]
+
+
+@pytest.mark.parametrize(
+    "server,cls", SERVER_REPLIES,
+    ids=[f"{server.name}-{cls.reason}" for server, cls in SERVER_REPLIES])
+def test_every_reply_reason_round_trips_to_its_class(server, cls):
+    reply = server.failure_reply(cls("x"))
+    with pytest.raises(cls) as raised:
+        expect_reply(reply, "OK")
+    assert type(raised.value) is cls
+
+
+def test_server_vocabularies_are_covered_by_the_client():
+    for server in (CasServer, ResourceServer):
+        assert server.error_reasons <= set(REPLY_ERRORS)
+
+
+def test_failure_outside_the_vocabulary_is_internal():
+    # casd's own snapshot write failing is not an error the protocol names.
+    assert CasServer.failure_reply(IoError("disk full")) == \
+        {"msg": "ERROR", "reason": "internal"}
+    with pytest.raises(ProtocolError):
+        expect_reply({"msg": "ERROR", "reason": "internal"}, "OK")
+
+
+def test_enroll_existing_user_is_duplicate_name(world):
+    with pytest.raises(DuplicateName):
+        world["admin"]("enroll-user", "alice", "CN=alice")
+
+
+def test_unenroll_unknown_user_is_unknown_name(world):
+    with pytest.raises(UnknownName):
+        world["admin"]("unenroll-user", "nobody")
+
+
+# --- the call sites the benchmark's tracer wraps ---------------------------------
+
+def test_benchmark_observation_points_are_called(world, monkeypatch):
+    calls = {}
+
+    def count(owner, attr):
+        original = getattr(owner, attr)
+        key = f"{owner.__name__}.{attr}"
+        calls[key] = 0
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+
+    for module in (casd_server, resourced_server):
+        count(module, "server_handshake")
+        count(module, "serve_messages")
+    count(keys.Ed25519Scheme, "generate")
+
+    capability, session_key = acquire(world)
+    file_op(world["resource"].address, capability, session_key,
+            "read", "/esg/data/t42.nc",
+            trust_store=world["store"], clock=world["clock"])
+    assert all(calls.values()), calls
