@@ -1,50 +1,1 @@
 """CAS server: community database, delegated administration, issuance."""
-
-from .admin import ADMIN_SERVICE, VERBS, AdminCommand, apply_admin, authorize_admin
-from .config import CasConfig, load_config, split_endpoint
-from .db import (
-    CommunityDB,
-    PolicyStatement,
-    UserEntry,
-    load_db,
-    parse_db,
-    save_db,
-    serialize_db,
-    validate_db,
-)
-from .issuance import (
-    DEFAULT_MAX_LIFETIME,
-    CapabilityIssuer,
-    PROXY_GROUP_PREFIX,
-    SessionCounter,
-)
-from .rights import compute_user_rights, find_user, intersect_documents
-from .server import CasServer, serve
-
-__all__ = [
-    "ADMIN_SERVICE",
-    "AdminCommand",
-    "CapabilityIssuer",
-    "CasConfig",
-    "CasServer",
-    "CommunityDB",
-    "DEFAULT_MAX_LIFETIME",
-    "PROXY_GROUP_PREFIX",
-    "PolicyStatement",
-    "SessionCounter",
-    "UserEntry",
-    "VERBS",
-    "apply_admin",
-    "authorize_admin",
-    "compute_user_rights",
-    "find_user",
-    "intersect_documents",
-    "load_config",
-    "load_db",
-    "parse_db",
-    "save_db",
-    "serialize_db",
-    "serve",
-    "split_endpoint",
-    "validate_db",
-]

@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ParseError
+from ..lines import read_file
 from .issuance import DEFAULT_MAX_LIFETIME
 
 CONFIG_KEYS = ("listen", "db", "cred", "trust", "bootstrap-admin", "max-lifetime")
@@ -42,8 +43,7 @@ def load_config(path: str | None, overrides: dict[str, str | None]) -> CasConfig
     """Merge a config file (if any) with command-line overrides."""
     values: dict[str, str] = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            values = parse_config(fh.read())
+        values = parse_config(read_file(path, "config").decode("utf-8"))
     for key, value in overrides.items():
         if value is not None:
             values[key] = value

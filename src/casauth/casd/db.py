@@ -31,6 +31,7 @@ import tempfile
 from dataclasses import dataclass, field
 
 from ..errors import InvariantViolation, IoError, ParseError
+from ..lines import join_lines, read_file, split_lines
 from ..policy.model import Action, ObjectPattern
 
 GRANTEE_USER = "user"
@@ -188,7 +189,7 @@ def serialize_db(db: CommunityDB) -> bytes:
         lines.append(f"{stmt.id} {stmt.grantee_kind}:{stmt.grantee} "
                      f"{stmt.object_kind}:{stmt.object_ref} "
                      f"{stmt.service_type} {stmt.action_name}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return join_lines(lines)
 
 
 def _parse_tagged(token: str, kinds: tuple[str, ...], line_no: int) -> tuple[str, str]:
@@ -200,19 +201,11 @@ def _parse_tagged(token: str, kinds: tuple[str, ...], line_no: int) -> tuple[str
 
 
 def parse_db(data: bytes, trust_anchors=frozenset()) -> CommunityDB:
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8: {exc}") from None
-    if not text.endswith("\n"):
-        raise ParseError("missing final linefeed")
-    lines = text.split("\n")[:-1]
-
     db = CommunityDB(trust_anchors=frozenset(trust_anchors))
     section = None
     saw_next_id = False
     expected = list(_SECTIONS)
-    for i, line in enumerate(lines, 1):
+    for i, line in enumerate(split_lines(data), 1):
         if line in _SECTIONS:
             if not expected or line != expected[0]:
                 raise ParseError(f"section {line} out of order", line=i)
@@ -294,9 +287,4 @@ def save_db(db: CommunityDB, path) -> None:
 
 
 def load_db(path, trust_anchors=frozenset()) -> CommunityDB:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read snapshot {path}: {exc}") from None
-    return parse_db(data, trust_anchors)
+    return parse_db(read_file(path, "snapshot"), trust_anchors)

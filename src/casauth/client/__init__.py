@@ -1,12 +1,1 @@
 """Client library and command-line tools."""
-
-from .api import acquire_capability, admin_command, capability_request_fields, file_op
-from .session import ClientSession
-
-__all__ = [
-    "ClientSession",
-    "acquire_capability",
-    "admin_command",
-    "capability_request_fields",
-    "file_op",
-]

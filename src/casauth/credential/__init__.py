@@ -1,68 +1,1 @@
 """Credential layer: certificates, delegation chains, and verification."""
-
-from .certs import (
-    Certificate,
-    CertificateChain,
-    RestrictionPolicy,
-    ValidityInterval,
-    certificate_body,
-    decode_certificate,
-    decode_certificates,
-    decode_chain,
-    encode_certificate,
-    encode_certificates,
-    encode_chain,
-    load_trust_store,
-    save_trust_store,
-    KIND_IDENTITY,
-    KIND_PROXY,
-    KIND_TRUST_ANCHOR,
-)
-from .issue import (
-    CertificateAuthority,
-    delegate,
-    issue_identity,
-    make_trust_anchor,
-    next_serial,
-    reset_serial_counters,
-)
-from .keys import DEFAULT_SCHEME, Ed25519Scheme
-from .verify import (
-    EnforcementContext,
-    VerifiedSubject,
-    effective_validity,
-    same_principal,
-    verify_chain,
-)
-
-__all__ = [
-    "Certificate",
-    "CertificateAuthority",
-    "CertificateChain",
-    "DEFAULT_SCHEME",
-    "Ed25519Scheme",
-    "EnforcementContext",
-    "RestrictionPolicy",
-    "ValidityInterval",
-    "VerifiedSubject",
-    "certificate_body",
-    "decode_certificate",
-    "decode_certificates",
-    "decode_chain",
-    "delegate",
-    "effective_validity",
-    "encode_certificate",
-    "encode_certificates",
-    "encode_chain",
-    "issue_identity",
-    "load_trust_store",
-    "make_trust_anchor",
-    "next_serial",
-    "reset_serial_counters",
-    "same_principal",
-    "save_trust_store",
-    "verify_chain",
-    "KIND_IDENTITY",
-    "KIND_PROXY",
-    "KIND_TRUST_ANCHOR",
-]

@@ -28,14 +28,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import DuplicateField, MissingField, ParseError
+from ..errors import MissingField, ParseError
+from ..lines import (
+    join_blocks,
+    join_lines,
+    key_values,
+    read_file,
+    split_blocks,
+    split_lines,
+    write_file,
+)
 
 KIND_TRUST_ANCHOR = "trust-anchor"
 KIND_IDENTITY = "identity"
 KIND_PROXY = "proxy"
 KINDS = (KIND_TRUST_ANCHOR, KIND_IDENTITY, KIND_PROXY)
-
-CHAIN_SEPARATOR = "----"
 
 _REQUIRED_KEYS = ("serial", "kind", "subject", "issuer", "subject-pk",
                   "not-before", "not-after")
@@ -154,23 +161,11 @@ def certificate_body(cert: Certificate) -> bytes:
         lines.append("policy-critical: true")
     if cert.proxy_group is not None:
         lines.append(f"proxy-group: {cert.proxy_group}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return join_lines(lines)
 
 
 def encode_certificate(cert: Certificate) -> bytes:
-    return certificate_body(cert) + f"sig: {cert.signature.hex()}\n".encode("utf-8")
-
-
-def _split_fields(lines: list[str], offset: int = 0) -> dict[str, str]:
-    fields: dict[str, str] = {}
-    for i, line in enumerate(lines, 1 + offset):
-        key, sep, value = line.partition(": ")
-        if not sep or not key:
-            raise ParseError(f"expected 'key: value', got {line!r}", line=i)
-        if key in fields:
-            raise DuplicateField(f"duplicate field {key!r}", line=i)
-        fields[key] = value
-    return fields
+    return certificate_body(cert) + join_lines([f"sig: {cert.signature.hex()}"])
 
 
 def _int_field(fields: dict[str, str], key: str) -> int:
@@ -187,8 +182,8 @@ def _hex_field(fields: dict[str, str], key: str) -> bytes:
         raise ParseError(f"field {key!r} is not valid hex") from None
 
 
-def _certificate_from_lines(lines: list[str], offset: int = 0) -> Certificate:
-    fields = _split_fields(lines, offset)
+def _certificate_from_lines(lines: list[str], first_line: int) -> Certificate:
+    fields = key_values(lines, first_line)
     for key in fields:
         if key not in _ALL_KEYS:
             raise ParseError(f"unknown field {key!r}")
@@ -218,7 +213,7 @@ def _certificate_from_lines(lines: list[str], offset: int = 0) -> Certificate:
         raise ParseError("serial must be nonnegative")
 
     try:
-        return Certificate(
+        cert = Certificate(
             serial=serial,
             subject_name=fields["subject"],
             issuer_name=fields["issuer"],
@@ -232,6 +227,9 @@ def _certificate_from_lines(lines: list[str], offset: int = 0) -> Certificate:
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    if encode_certificate(cert) != join_lines(lines):
+        raise ParseError("certificate is not in canonical form", line=first_line)
+    return cert
 
 
 def decode_certificate(data: bytes) -> Certificate:
@@ -240,55 +238,20 @@ def decode_certificate(data: bytes) -> Certificate:
     Raises ParseError (or its DuplicateField/MissingField refinements) on
     anything that is not the exact canonical form.
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8: {exc}") from None
-    if not text.endswith("\n"):
-        raise ParseError("missing final linefeed")
-    cert = _certificate_from_lines(text.split("\n")[:-1])
-    if encode_certificate(cert) != data:
-        raise ParseError("input is not in canonical field order")
-    return cert
+    return _certificate_from_lines(split_lines(data), 1)
 
 
 def encode_certificates(certs) -> bytes:
     """Encode several certificates into one chain-format file."""
-    parts = [encode_certificate(c) for c in certs]
-    return (CHAIN_SEPARATOR + "\n").encode("utf-8").join(parts)
+    return join_blocks([encode_certificate(c) for c in certs])
+
+
+def certificates_from_lines(lines: list[str]) -> list[Certificate]:
+    return [_certificate_from_lines(block, start) for start, block in split_blocks(lines)]
 
 
 def decode_certificates(data: bytes) -> list[Certificate]:
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8: {exc}") from None
-    if not text.endswith("\n"):
-        raise ParseError("missing final linefeed")
-    certs: list[Certificate] = []
-    group: list[str] = []
-    group_start = 0
-
-    def finish() -> None:
-        cert = _certificate_from_lines(group, group_start)
-        if encode_certificate(cert) != ("\n".join(group) + "\n").encode("utf-8"):
-            raise ParseError("certificate is not in canonical field order")
-        certs.append(cert)
-
-    lines = text.split("\n")[:-1]
-    for i, line in enumerate(lines):
-        if line == CHAIN_SEPARATOR:
-            if not group:
-                raise ParseError("empty certificate before separator", line=i + 1)
-            finish()
-            group = []
-            group_start = i + 1
-        else:
-            group.append(line)
-    if not group:
-        raise ParseError("empty certificate file" if not certs else "trailing separator")
-    finish()
-    return certs
+    return certificates_from_lines(split_lines(data))
 
 
 def encode_chain(chain: CertificateChain) -> bytes:
@@ -303,10 +266,8 @@ def decode_chain(data: bytes) -> CertificateChain:
 
 def save_trust_store(path, anchors) -> None:
     ordered = sorted(anchors, key=lambda c: (c.subject_name, c.serial))
-    with open(path, "wb") as fh:
-        fh.write(encode_certificates(ordered))
+    write_file(path, encode_certificates(ordered), "trust store")
 
 
 def load_trust_store(path) -> frozenset[Certificate]:
-    with open(path, "rb") as fh:
-        return frozenset(decode_certificates(fh.read()))
+    return frozenset(decode_certificates(read_file(path, "trust store")))

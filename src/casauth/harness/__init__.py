@@ -1,25 +1,1 @@
 """Scenario runner and trust-scaling accountant."""
-
-from .runtime import Deployment, make_policy
-from .scenario import (
-    AssertionOutcome,
-    Report,
-    ScenarioError,
-    ScenarioStep,
-    parse_script,
-    run_scenario,
-)
-from .topology import TrustTopology, trust_edges
-
-__all__ = [
-    "AssertionOutcome",
-    "Deployment",
-    "Report",
-    "ScenarioError",
-    "ScenarioStep",
-    "TrustTopology",
-    "make_policy",
-    "parse_script",
-    "run_scenario",
-    "trust_edges",
-]

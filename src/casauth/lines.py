@@ -1,0 +1,86 @@
+"""The line framing that every casauth text format shares.
+
+Certificates and chain files, trust stores, credential files, policy
+text, grant tables, the community snapshot and wire payloads are all UTF-8
+text with exactly one linefeed after each line. Several are ``key: value``
+fields, and the files holding several records separate them with a
+``----`` line. Decoders take a ``first_line`` so that an error inside an
+embedded record names its line in the whole file.
+"""
+
+from __future__ import annotations
+
+import os
+
+from .errors import DuplicateField, IoError, ParseError
+
+SEPARATOR = "----"
+
+
+def split_lines(data: bytes) -> list[str]:
+    """The lines of ``data``, which must end in a linefeed."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc}") from None
+    if not text.endswith("\n"):
+        raise ParseError("missing final linefeed")
+    return text.split("\n")[:-1]
+
+
+def join_lines(lines: list[str]) -> bytes:
+    """The inverse of split_lines."""
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def key_values(lines: list[str], first_line: int = 1) -> dict[str, str]:
+    """Fields of ``key: value`` lines, in order; keys are nonempty and unique."""
+    fields: dict[str, str] = {}
+    for i, line in enumerate(lines, first_line):
+        key, sep, value = line.partition(": ")
+        if not sep or not key:
+            raise ParseError(f"expected 'key: value', got {line!r}", line=i)
+        if key in fields:
+            raise DuplicateField(f"duplicate field {key!r}", line=i)
+        fields[key] = value
+    return fields
+
+
+def split_blocks(lines: list[str]) -> list[tuple[int, list[str]]]:
+    """Nonempty blocks between separator lines, each with its first line number."""
+    blocks: list[tuple[int, list[str]]] = []
+    start = 0
+    for i, line in enumerate(lines):
+        if line == SEPARATOR:
+            if i == start:
+                raise ParseError("empty block", line=i + 1)
+            blocks.append((start + 1, lines[start:i]))
+            start = i + 1
+    if start == len(lines):
+        # nothing at all, or a separator on the last line
+        raise ParseError("empty block", line=start or None)
+    blocks.append((start + 1, lines[start:]))
+    return blocks
+
+
+def join_blocks(blocks: list[bytes]) -> bytes:
+    """The inverse of split_blocks, over blocks already joined into lines."""
+    return (SEPARATOR + "\n").encode("utf-8").join(blocks)
+
+
+def read_file(path, what: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from None
+
+
+def write_file(path, data: bytes, what: str, mode: int = 0o666) -> None:
+    """Replace the file's contents; a file created here gets ``mode``."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, mode)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise IoError(f"cannot write {what} {path}: {exc}") from None

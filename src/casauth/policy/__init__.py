@@ -1,38 +1,1 @@
 """The cas-simple-v1 policy language and its evaluation engine."""
-
-from .engine import (
-    EvaluatorRegistry,
-    evaluate,
-    evaluate_all,
-    match_object,
-    pattern_subsumes,
-)
-from .model import (
-    ALL,
-    Action,
-    Decision,
-    LANGUAGE,
-    ObjectPattern,
-    PolicyDocument,
-    Request,
-    Right,
-)
-from .text import parse_policy, serialize_policy
-
-__all__ = [
-    "ALL",
-    "Action",
-    "Decision",
-    "EvaluatorRegistry",
-    "LANGUAGE",
-    "ObjectPattern",
-    "PolicyDocument",
-    "Request",
-    "Right",
-    "evaluate",
-    "evaluate_all",
-    "match_object",
-    "parse_policy",
-    "pattern_subsumes",
-    "serialize_policy",
-]

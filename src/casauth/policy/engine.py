@@ -24,13 +24,9 @@ def match_object(pattern: ObjectPattern, obj: str) -> bool:
 
 def pattern_subsumes(general: ObjectPattern, specific: ObjectPattern) -> bool:
     """True iff every object matched by ``specific`` is matched by ``general``."""
-    g, s = general.pattern, specific.pattern
-    if g == "*" or g == s:
-        return True
-    if g.endswith("/*"):
-        stem = g[:-2]
-        return s == stem or s.startswith(stem + "/")
-    return False
+    # Patterns are prefix-closed: ``general`` matches everything ``specific``
+    # matches exactly when it matches ``specific``'s own text as a name.
+    return match_object(general, specific.pattern)
 
 
 def evaluate(doc: PolicyDocument, req: Request) -> Decision:

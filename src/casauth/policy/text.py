@@ -18,6 +18,7 @@ grants nothing.
 from __future__ import annotations
 
 from ..errors import ParseError, UnsupportedLanguage
+from ..lines import join_lines, split_lines
 from .model import LANGUAGE, Action, ObjectPattern, PolicyDocument, Right
 
 _HEADER = f"lang: {LANGUAGE}"
@@ -31,7 +32,7 @@ def serialize_policy(doc: PolicyDocument) -> bytes:
         lines.append("right:")
         lines.extend(f"object {p.pattern}" for p in right.objects)
         lines.extend(f"action {a.service_type}:{a.action_name}" for a in right.actions)
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return join_lines(lines)
 
 
 def _parse_action(token: str, line_no: int) -> Action:
@@ -46,19 +47,18 @@ def _parse_action(token: str, line_no: int) -> Action:
 
 def parse_policy(data: bytes) -> PolicyDocument:
     """Parse policy text; total over byte strings (ParseError, never a crash)."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8: {exc}") from None
-    if not text.endswith("\n"):
-        raise ParseError("missing final linefeed")
-    lines = text.split("\n")[:-1]
+    return policy_from_lines(split_lines(data), 1)
+
+
+def policy_from_lines(lines: list[str], first_line: int) -> PolicyDocument:
+    """Parse policy text already split into lines, numbered from ``first_line``."""
     if not lines:
-        raise ParseError("empty document", line=1)
+        raise ParseError("empty document", line=first_line)
     if lines[0] != _HEADER:
         if lines[0].startswith("lang: "):
-            raise UnsupportedLanguage(f"unsupported language {lines[0][6:]!r}", line=1)
-        raise ParseError(f"expected {_HEADER!r} header", line=1)
+            raise UnsupportedLanguage(f"unsupported language {lines[0][6:]!r}",
+                                      line=first_line)
+        raise ParseError(f"expected {_HEADER!r} header", line=first_line)
 
     rights: list[Right] = []
     objects: list[ObjectPattern] = []
@@ -74,7 +74,7 @@ def parse_policy(data: bytes) -> PolicyDocument:
         objects.clear()
         actions.clear()
 
-    for i, line in enumerate(lines[1:], 2):
+    for i, line in enumerate(lines[1:], first_line + 1):
         if line == "right:":
             if in_right:
                 finish(i)
@@ -95,5 +95,5 @@ def parse_policy(data: bytes) -> PolicyDocument:
         else:
             raise ParseError(f"unrecognized line {line!r}", line=i)
     if in_right:
-        finish(len(lines))
+        finish(first_line + len(lines) - 1)
     return PolicyDocument(rights=tuple(rights))

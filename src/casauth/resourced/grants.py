@@ -17,75 +17,39 @@ followed by an embedded cas-simple-v1 policy text.
 
 from __future__ import annotations
 
-from ..errors import IoError, ParseError
+from ..errors import ParseError
+from ..lines import join_blocks, join_lines, read_file, split_blocks, split_lines, write_file
 from ..policy.model import PolicyDocument
-from ..policy.text import parse_policy, serialize_policy
+from ..policy.text import policy_from_lines, serialize_policy
 
-_SEPARATOR = "----"
 _GRANTOR_PREFIX = "grantor: "
 
 
 def parse_grant_table(data: bytes) -> dict[str, PolicyDocument]:
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8: {exc}") from None
-    if not text:
+    if not data:
         return {}
-    if not text.endswith("\n"):
-        raise ParseError("missing final linefeed")
     table: dict[str, PolicyDocument] = {}
-    block: list[str] = []
-    block_start = 1
-
-    def finish(end_line: int) -> None:
-        if not block:
-            raise ParseError("empty grant block", line=end_line)
+    for start, block in split_blocks(split_lines(data)):
         if not block[0].startswith(_GRANTOR_PREFIX):
-            raise ParseError("block must start with 'grantor: <identity>'",
-                             line=block_start)
+            raise ParseError("block must start with 'grantor: <identity>'", line=start)
         grantor = block[0][len(_GRANTOR_PREFIX):]
         if not grantor:
-            raise ParseError("empty grantor identity", line=block_start)
+            raise ParseError("empty grantor identity", line=start)
         if grantor in table:
-            raise ParseError(f"duplicate grantor {grantor!r}", line=block_start)
-        try:
-            table[grantor] = parse_policy(
-                ("\n".join(block[1:]) + "\n").encode("utf-8"))
-        except ParseError as exc:
-            raise ParseError(f"grantor {grantor!r}: {exc}") from None
-
-    lines = text.split("\n")[:-1]
-    for i, line in enumerate(lines, 1):
-        if line == _SEPARATOR:
-            finish(i)
-            block = []
-            block_start = i + 1
-        else:
-            block.append(line)
-    finish(len(lines))
+            raise ParseError(f"duplicate grantor {grantor!r}", line=start)
+        table[grantor] = policy_from_lines(block[1:], start + 1)
     return table
 
 
 def serialize_grant_table(table: dict[str, PolicyDocument]) -> bytes:
-    parts = []
-    for grantor in sorted(table):
-        parts.append(f"{_GRANTOR_PREFIX}{grantor}\n".encode("utf-8")
-                     + serialize_policy(table[grantor]))
-    return (_SEPARATOR + "\n").encode("utf-8").join(parts)
+    return join_blocks([join_lines([_GRANTOR_PREFIX + grantor])
+                        + serialize_policy(table[grantor])
+                        for grantor in sorted(table)])
 
 
 def load_grant_table(path) -> dict[str, PolicyDocument]:
-    try:
-        with open(path, "rb") as fh:
-            return parse_grant_table(fh.read())
-    except OSError as exc:
-        raise IoError(f"cannot read grant table {path}: {exc}") from None
+    return parse_grant_table(read_file(path, "grant table"))
 
 
 def save_grant_table(path, table: dict[str, PolicyDocument]) -> None:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(serialize_grant_table(table))
-    except OSError as exc:
-        raise IoError(f"cannot write grant table {path}: {exc}") from None
+    write_file(path, serialize_grant_table(table), "grant table")

@@ -43,13 +43,12 @@ class ResourceServer(AuthenticatedServer):
                  chain: CertificateChain, leaf_key: Any,
                  *, listen: tuple[str, int] = ("127.0.0.1", 0),
                  trust_store=None,
-                 registry: ServiceRegistry | None = None,
                  clock: Callable[[], int] = system_clock):
         super().__init__(chain, leaf_key, listen, clock)
         self._table = dict(table)
         self._root = VirtualRoot(Path(root))
         self._trust_store = tuple(trust_store or ())
-        self._registry = registry or ServiceRegistry()
+        self._registry = ServiceRegistry()
         self._evaluators = EvaluatorRegistry()
         self._path_locks: dict[str, threading.Lock] = {}
         self._path_locks_guard = threading.Lock()

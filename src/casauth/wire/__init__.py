@@ -1,20 +1,1 @@
 """Framed wire protocol shared by the CAS server, resource server, client."""
-
-from .frames import (
-    MAX_FRAME_BYTES,
-    decode_payload,
-    encode_message,
-    read_message,
-    send_message,
-)
-from .handshake import client_handshake, server_handshake
-
-__all__ = [
-    "MAX_FRAME_BYTES",
-    "client_handshake",
-    "decode_payload",
-    "encode_message",
-    "read_message",
-    "send_message",
-    "server_handshake",
-]

@@ -11,7 +11,8 @@ import socket
 import struct
 from typing import Mapping
 
-from ..errors import ProtocolError, TransportError
+from ..errors import ParseError, ProtocolError, TransportError
+from ..lines import join_lines, key_values, split_lines
 
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
@@ -28,7 +29,7 @@ def encode_message(fields: Mapping[str, str]) -> bytes:
         if "\n" in value or "\r" in value:
             raise ProtocolError(f"message value for {key!r} contains a line break")
         lines.append(f"{key}: {value}")
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
+    payload = join_lines(lines)
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError("frame too large")
     return struct.pack(">I", len(payload)) + payload
@@ -36,19 +37,9 @@ def encode_message(fields: Mapping[str, str]) -> bytes:
 
 def decode_payload(payload: bytes) -> dict[str, str]:
     try:
-        text = payload.decode("utf-8")
-    except UnicodeDecodeError:
-        raise ProtocolError("payload is not UTF-8") from None
-    if not text.endswith("\n"):
-        raise ProtocolError("payload missing final linefeed")
-    fields: dict[str, str] = {}
-    for line in text.split("\n")[:-1]:
-        key, sep, value = line.partition(": ")
-        if not sep or not key:
-            raise ProtocolError(f"expected 'key: value', got {line!r}")
-        if key in fields:
-            raise ProtocolError(f"duplicate key {key!r}")
-        fields[key] = value
+        fields = key_values(split_lines(payload))
+    except ParseError as exc:
+        raise ProtocolError(str(exc)) from None
     if not fields or next(iter(fields)) != "msg" or not fields["msg"]:
         raise ProtocolError("first line must be 'msg: <TYPE>'")
     return fields

@@ -19,13 +19,14 @@ from casauth.client.cli import (
     main_keygen,
     main_proxy_init,
 )
-from casauth.credential.certs import load_trust_store
+from casauth.credential.certs import load_trust_store, save_trust_store
 from casauth.credential.verify import EnforcementContext, verify_chain
 from casauth.credfile import load_credential
 from casauth.errors import (
     Denied,
     Expired,
     HandshakeError,
+    IoError,
     NotFound,
     TransportError,
 )
@@ -201,3 +202,26 @@ def test_resourced_main_requires_flags():
 
     with pytest.raises(SystemExit):
         resourced_main([])
+
+
+def test_missing_trust_store_is_an_error_not_a_crash(cli_world, tmp_path, capsys):
+    rc = main_file(["--resource", cli_world["resource"],
+                    "--proxy", str(cli_world["paths"]["alice"]),
+                    "--trust", str(tmp_path / "absent"), "read", "/esg/t42.nc"])
+    assert rc == EXIT_ERROR
+    assert "cas-file: cannot read trust store" in capsys.readouterr().err
+
+
+def test_casd_main_missing_trust_store_exits_1(cli_world, tmp_path, capsys):
+    from casauth.casd.main import main as casd_main
+
+    rc = casd_main(["--cred", str(cli_world["paths"]["cas"]),
+                    "--trust", str(tmp_path / "absent"),
+                    "--db", str(tmp_path / "db")])
+    assert rc == 1
+    assert "casd: cannot read trust store" in capsys.readouterr().err
+
+
+def test_unwritable_trust_store_is_io_error(ca, tmp_path):
+    with pytest.raises(IoError):
+        save_trust_store(tmp_path / "no-such-dir" / "trust", [ca.certificate])

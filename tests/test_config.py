@@ -1,11 +1,17 @@
 """Server configuration files, flag precedence, and credential files."""
 
+import random
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from casauth.casd.config import load_config, parse_config, split_endpoint
-from casauth.credential.certs import ValidityInterval
+from casauth.credential.certs import ValidityInterval, encode_chain
+from casauth.credential.issue import CertificateAuthority
+from casauth.credential.keys import DEFAULT_SCHEME
 from casauth.credfile import load_credential, save_credential
-from casauth.errors import IoError, ParseError
+from casauth.errors import CasError, IoError, ParseError
 
 
 def test_config_file_plus_overrides(tmp_path):
@@ -72,3 +78,35 @@ def test_credential_file_without_key_line_rejected(tmp_path, ca, rng):
 def test_missing_credential_is_io_error(tmp_path):
     with pytest.raises(IoError):
         load_credential(tmp_path / "absent")
+
+
+def test_missing_config_is_io_error(tmp_path):
+    with pytest.raises(IoError):
+        load_config(str(tmp_path / "absent"), {})
+
+
+def _credential_lines() -> list[str]:
+    rng = random.Random(7)
+    wide = ValidityInterval(0, 10**9)
+    ca = CertificateAuthority.create("FuzzCA", wide, rng=rng)
+    chain, key = ca.issue_credential("CN=fuzz", wide, rng=rng)
+    key_line = "private-key: " + DEFAULT_SCHEME.private_bytes(key).hex()
+    return encode_chain(chain).decode().split("\n")[:-1] + [key_line]
+
+
+_CREDENTIAL_LINES = _credential_lines() + [
+    "----", "", "private-key: 00", "private-key: zz", "private-key: "]
+
+
+@settings(max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.binary(max_size=300)
+       | st.lists(st.sampled_from(_CREDENTIAL_LINES), max_size=12).map(
+           lambda lines: ("\n".join(lines) + "\n").encode()))
+def test_load_credential_is_total(tmp_path, data):
+    path = tmp_path / "fuzz.cred"
+    path.write_bytes(data)
+    try:
+        load_credential(path)
+    except CasError:
+        pass

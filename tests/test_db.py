@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casauth.casd.db import (
     CommunityDB,
@@ -14,7 +16,7 @@ from casauth.casd.db import (
     serialize_db,
     validate_db,
 )
-from casauth.errors import InvariantViolation, IoError, ParseError
+from casauth.errors import CasError, InvariantViolation, IoError, ParseError
 
 from genutils import random_db
 
@@ -128,3 +130,50 @@ def test_trust_anchors_reattached_on_load(tmp_path, ca):
     save_db(db, path)
     assert load_db(path, anchors) == db
     assert load_db(path).trust_anchors == frozenset()
+
+
+# --- properties of the snapshot text ----------------------------------------------
+
+# Identities are free text apart from the linefeed: spaces, colons, brackets.
+IDENTITIES = st.text(st.characters(blacklist_characters="\n",
+                                   blacklist_categories=("Cs",)),
+                     min_size=1, max_size=12)
+
+
+@st.composite
+def snapshots(draw) -> bytes:
+    db = random_db(draw(st.randoms(use_true_random=False)))
+    identities = draw(st.lists(IDENTITIES, unique=True, min_size=len(db.users),
+                               max_size=len(db.users)))
+    for entry, identity in zip(db.users.values(), identities):
+        entry.identity = identity
+    return serialize_db(db)
+
+
+@settings(max_examples=200)
+@given(snapshots())
+def test_snapshot_text_round_trips(data):
+    assert serialize_db(parse_db(data)) == data
+
+
+_SNAPSHOT_LINES = (
+    "[users]", "[resources]", "[user-groups]", "[resource-groups]",
+    "[statements]", "next-id 3", "alice enrolled CN=alice",
+    "bob unenrolled CN=bob", "data /esg/*", "climate: alice", "sets: data",
+    "1 user:alice resource:data file read",
+    "2 group:climate rgroup:sets file write",
+    "3 user:bob pattern:/x/* file read",
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(_SNAPSHOT_LINES)
+                | st.text(alphabet="[]: -/*0123456789abdeilnorstux", max_size=14),
+                max_size=16),
+       st.booleans())
+def test_snapshot_parse_is_total_near_valid(lines, final_linefeed):
+    text = "\n".join(lines) + ("\n" if final_linefeed else "")
+    try:
+        parse_db(text.encode())
+    except CasError:
+        pass

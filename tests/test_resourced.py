@@ -4,10 +4,19 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casauth.credential.certs import RestrictionPolicy, ValidityInterval
 from casauth.credential.verify import VerifiedSubject
-from casauth.errors import IsDirectory, NotDirectory, NotFound, PathEscape
+from casauth.errors import (
+    CasError,
+    IsDirectory,
+    NotDirectory,
+    NotFound,
+    ParseError,
+    PathEscape,
+)
 from casauth.policy.engine import EvaluatorRegistry
 from casauth.policy.model import (
     Action,
@@ -182,3 +191,58 @@ def test_grant_table_rejects_duplicates():
              b"grantor: x\nlang: cas-simple-v1\n")
     with pytest.raises(Exception):
         parse_grant_table(block)
+
+
+def test_grant_table_error_names_the_line_of_the_file():
+    data = (b"grantor: a\n"
+            b"lang: cas-simple-v1\n"
+            b"right:\n"
+            b"object /a/*\n"
+            b"action file:read\n"
+            b"----\n"
+            b"grantor: b\n"
+            b"lang: cas-simple-v1\n"
+            b"right:\n"
+            b"object /b/*\n"
+            b"action fileread\n")
+    with pytest.raises(ParseError) as info:
+        parse_grant_table(data)
+    assert info.value.line == 11
+
+
+GRANTORS = st.text(st.characters(blacklist_characters="\n",
+                                 blacklist_categories=("Cs",)),
+                   min_size=1, max_size=12)
+
+
+@st.composite
+def grant_tables(draw) -> bytes:
+    rng = draw(st.randoms(use_true_random=False))
+    grantors = draw(st.lists(GRANTORS, unique=True, max_size=4))
+    return serialize_grant_table({g: random_document(rng) for g in grantors})
+
+
+@settings(max_examples=200)
+@given(grant_tables())
+def test_grant_table_text_round_trips(data):
+    assert serialize_grant_table(parse_grant_table(data)) == data
+
+
+_GRANT_LINES = ("grantor: cas.esg", "grantor: CN=alice", "grantor: ",
+                "lang: cas-simple-v1", "lang: other", "right:",
+                "object /esg/*", "object *", "action file:read",
+                "action file:write", "----")
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(_GRANT_LINES)
+                | st.text(alphabet="grantor: lang-simple-v1\nright:objecta ct*/-",
+                          max_size=20),
+                max_size=14),
+       st.booleans())
+def test_grant_table_parse_is_total_near_valid(lines, final_linefeed):
+    text = "\n".join(lines) + ("\n" if final_linefeed else "")
+    try:
+        parse_grant_table(text.encode())
+    except CasError:
+        pass

@@ -6,8 +6,12 @@ import struct
 import pytest
 
 import casauth.casd.server as casd_server
+import casauth.client.api as client_api
 import casauth.credential.keys as keys
+import casauth.policy.engine as policy_engine
 import casauth.resourced.server as resourced_server
+import casauth.wire.frames as wire_frames
+import casauth.wire.handshake as wire_handshake
 from casauth.casd.db import CommunityDB, load_db
 from casauth.casd.server import CasServer
 from casauth.client.api import (
@@ -391,6 +395,35 @@ def test_benchmark_observation_points_are_called(world, monkeypatch):
     count(keys.Ed25519Scheme, "generate")
 
     capability, session_key = acquire(world)
+    file_op(world["resource"].address, capability, session_key,
+            "read", "/esg/data/t42.nc",
+            trust_store=world["store"], clock=world["clock"])
+    assert all(calls.values()), calls
+
+
+def test_codec_observation_points_are_called(world, monkeypatch):
+    # The module globals through which the benchmark times chain decoding,
+    # chain verification, framing and policy parsing.
+    calls = {}
+
+    def count(owner, attr):
+        original = getattr(owner, attr)
+        key = f"{owner.__name__}.{attr}"
+        calls[key] = 0
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(wire_handshake, "decode_chain")
+    count(wire_handshake, "verify_chain")
+    count(wire_frames, "encode_message")
+    count(client_api, "decode_chain")
+    count(policy_engine, "parse_policy")
+
+    capability, session_key = acquire(world)
+    assert capability.leaf.restriction is not None
     file_op(world["resource"].address, capability, session_key,
             "read", "/esg/data/t42.nc",
             trust_store=world["store"], clock=world["clock"])
