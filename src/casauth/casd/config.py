@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ParseError
-from ..lines import read_file
+from ..lines import read_text
 from .issuance import DEFAULT_MAX_LIFETIME
 
 CONFIG_KEYS = ("listen", "db", "cred", "trust", "bootstrap-admin", "max-lifetime")
@@ -43,7 +43,7 @@ def load_config(path: str | None, overrides: dict[str, str | None]) -> CasConfig
     """Merge a config file (if any) with command-line overrides."""
     values: dict[str, str] = {}
     if path is not None:
-        values = parse_config(read_file(path, "config").decode("utf-8"))
+        values = parse_config(read_text(path, "config"))
     for key, value in overrides.items():
         if value is not None:
             values[key] = value
@@ -63,7 +63,8 @@ def load_config(path: str | None, overrides: dict[str, str | None]) -> CasConfig
 
 
 def split_endpoint(endpoint: str) -> tuple[str, int]:
+    """``host:port`` with a decimal port from 0 to 65535."""
     host, sep, port = endpoint.rpartition(":")
-    if not sep:
-        raise ValueError(f"endpoint must be host:port, got {endpoint!r}")
-    return host, int(port, 10)
+    if not sep or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise ParseError(f"endpoint must be host:port, got {endpoint!r}")
+    return host, int(port)

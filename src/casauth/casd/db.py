@@ -270,7 +270,11 @@ def parse_db(data: bytes, trust_anchors=frozenset()) -> CommunityDB:
 
 
 def save_db(db: CommunityDB, path) -> None:
-    """Write the snapshot atomically (temp file in place, then rename)."""
+    """Write the snapshot durably and atomically.
+
+    The bytes go to a temp file beside it, which is flushed to disk before
+    it is renamed over the snapshot, so a crash leaves one whole snapshot.
+    """
     data = serialize_db(db)
     directory = os.path.dirname(os.path.abspath(path))
     try:
@@ -278,6 +282,8 @@ def save_db(db: CommunityDB, path) -> None:
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
-import threading
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from typing import Any
 
 from ..credential.certs import CertificateChain, RestrictionPolicy, ValidityInterval
@@ -18,29 +17,18 @@ from .rights import compute_user_rights, find_user, intersect_documents
 
 DEFAULT_MAX_LIFETIME = 43_200  # seconds; capabilities live hours, not days
 
+# Each capability's proxy group is this prefix and 64 random bits in hex,
+# so names never repeat, across restarts too, without any stored counter.
 PROXY_GROUP_PREFIX = "cas-session-"
-
-
-class SessionCounter:
-    """Strictly increasing per server lifetime; one value per capability."""
-
-    def __init__(self):
-        self._counter = itertools.count(1)
-        self._lock = threading.Lock()
-
-    def next(self) -> int:
-        with self._lock:
-            return next(self._counter)
 
 
 @dataclass
 class CapabilityIssuer:
-    """The CAS server's issuing half: its credential plus session state."""
+    """The CAS server's issuing half: its credential and lifetime cap."""
 
     chain: CertificateChain
     leaf_key: Any
     max_lifetime: int = DEFAULT_MAX_LIFETIME
-    sessions: SessionCounter = field(default_factory=SessionCounter)
 
     def request_capability(self, db: CommunityDB, subject: VerifiedSubject,
                            user_session_pk: bytes, requested,
@@ -73,7 +61,7 @@ class CapabilityIssuer:
         if lifetime < 0:
             raise ValueError("lifetime must be nonnegative")
         restriction = RestrictionPolicy(LANGUAGE, serialize_policy(granted))
-        proxy_group = f"{PROXY_GROUP_PREFIX}{self.sessions.next()}"
+        proxy_group = PROXY_GROUP_PREFIX + os.urandom(8).hex()
         return delegate(self.chain, self.leaf_key, user_session_pk,
                         ValidityInterval(now, now + lifetime),
                         restriction=restriction, proxy_group=proxy_group)

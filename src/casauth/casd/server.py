@@ -9,9 +9,12 @@ Post-handshake message types:
 Replies are OK (grant adds ``id``), CAPABILITY (``chain``), DENIED
 (``reason``: not-authorized, unknown-actor, denied, not-enrolled,
 restricted-chain), or ERROR (``reason``: duplicate-name, unknown-name,
-invariant, parse, bad-request, internal). All mutations and every
-issuance run under one writer lock, and the snapshot is rewritten after
-each mutation, so a crash can lose at most the command being applied.
+invariant, parse, expired, bad-request, internal). Mutations run under
+one writer lock, and the snapshot is rewritten after each mutation, so a
+crash can lose at most the command being applied. Each mutation publishes
+a new database by swapping one reference, so issuance reads the published
+database without the lock: an issuance that read the old one is ordered
+before the mutation.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ class CasServer(AuthenticatedServer):
 
     name = "casd"
     logger = logging.getLogger("casauth.casd")
-    error_reasons = frozenset({"duplicate-name", "unknown-name", "invariant", "parse"})
+    error_reasons = frozenset({"duplicate-name", "unknown-name", "invariant", "parse",
+                               "expired"})
 
     def __init__(self, db: CommunityDB, chain: CertificateChain, leaf_key: Any,
                  *, listen: tuple[str, int] = ("127.0.0.1", 0),
@@ -108,9 +112,8 @@ class CasServer(AuthenticatedServer):
         if not session_pk:
             raise ParseError("REQUEST-CAPABILITY needs session-pk")
         lifetime = int(message.get("lifetime", str(self._issuer.max_lifetime)), 10)
-        with self._write_lock:
-            capability = self._issuer.request_capability(
-                self._db, subject, session_pk, requested, lifetime, self._clock())
+        capability = self._issuer.request_capability(
+            self._db, subject, session_pk, requested, lifetime, self._clock())
         return {"msg": "CAPABILITY", "chain": encode_chain(capability).hex()}
 
 

@@ -22,6 +22,7 @@ from ..credential.issue import CertificateAuthority
 from ..credfile import load_credential, save_credential
 from ..casd.config import split_endpoint
 from ..errors import CasError, Refused, TransportError
+from ..lines import read_file
 from ..policy.model import ALL
 from ..policy.text import parse_policy
 from .api import acquire_capability, admin_command, file_op
@@ -164,8 +165,7 @@ def main_proxy_init(argv=None) -> int:
         if args.all:
             want = ALL
         else:
-            with open(args.want, "rb") as fh:
-                want = parse_policy(fh.read())
+            want = parse_policy(read_file(args.want, "policy file"))
         capability, session_key = acquire_capability(
             split_endpoint(args.cas), chain, leaf_key, want, args.lifetime,
             trust_store=anchors)
@@ -196,8 +196,7 @@ def main_file(argv=None) -> int:
         payload = None
         if args.action == "write":
             if args.input:
-                with open(args.input, "rb") as fh:
-                    payload = fh.read()
+                payload = read_file(args.input, "input file")
             else:
                 payload = sys.stdin.buffer.read()
         result = file_op(split_endpoint(args.resource), chain, session_key,

@@ -1,13 +1,13 @@
 """Issuing certificates: trust anchors, identities, and delegated proxies.
 
-Serial numbers come from a per-issuer monotone counter starting at 1. The
-counter is process-global and guarded by a lock; it is the only mutable
-state in the credential layer.
+Serial numbers are random 64-bit values, so issuing keeps no state: no
+counter has to survive a restart or be shared between processes for
+serials to stay unique per issuer (RFC 5280 section 4.1.2.2).
 """
 
 from __future__ import annotations
 
-import threading
+import os
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -24,21 +24,17 @@ from .certs import (
 )
 from .keys import DEFAULT_SCHEME
 
-_serial_lock = threading.Lock()
-_serials: dict[str, int] = {}
 
-
-def next_serial(issuer_name: str) -> int:
-    with _serial_lock:
-        value = _serials.get(issuer_name, 0) + 1
-        _serials[issuer_name] = value
-        return value
+def _random_serial() -> int:
+    """A positive serial of 64 random bits from the operating system."""
+    return int.from_bytes(os.urandom(8), "big") or 1
 
 
 def reset_serial_counters() -> None:
-    """Forget all counters. Intended for test isolation only."""
-    with _serial_lock:
-        _serials.clear()
+    """Does nothing: serials are random, so there is no counter to reset.
+
+    Kept because the benchmark's input generator still imports and calls it.
+    """
 
 
 def _signed(cert: Certificate, signer_key: Any) -> Certificate:
@@ -51,7 +47,7 @@ def make_trust_anchor(name: str, public_key: bytes, private_key: Any,
     if validity.is_empty:
         raise InvalidInterval(f"empty validity [{validity.not_before}, {validity.not_after}]")
     cert = Certificate(
-        serial=next_serial(name),
+        serial=_random_serial(),
         subject_name=name,
         issuer_name=name,
         subject_public_key=public_key,
@@ -67,7 +63,7 @@ def issue_identity(ca_name: str, ca_private_key: Any, subject_name: str,
     if validity.is_empty:
         raise InvalidInterval(f"empty validity [{validity.not_before}, {validity.not_after}]")
     cert = Certificate(
-        serial=next_serial(ca_name),
+        serial=_random_serial(),
         subject_name=subject_name,
         issuer_name=ca_name,
         subject_public_key=subject_pk,
@@ -128,7 +124,7 @@ def delegate(issuer_chain: CertificateChain, issuer_leaf_private_key: Any,
 
     identity = issuer_chain.certs[0].subject_name
     proxy = Certificate(
-        serial=next_serial(identity),
+        serial=_random_serial(),
         subject_name=identity,
         issuer_name=identity,
         subject_public_key=subject_pk,

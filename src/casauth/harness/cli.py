@@ -7,6 +7,7 @@ import sys
 from importlib import resources
 
 from ..errors import CasError
+from ..lines import read_text
 from .scenario import parse_script, run_scenario
 from .topology import TrustTopology, trust_edges
 
@@ -21,8 +22,7 @@ def bundled_script(name: str) -> str:
 def load_script_text(spec: str) -> str:
     if spec in BUNDLED:
         return bundled_script(spec)
-    with open(spec, "r", encoding="utf-8") as fh:
-        return fh.read()
+    return read_text(spec, "scenario script")
 
 
 def main(argv=None) -> int:

@@ -76,6 +76,14 @@ def read_file(path, what: str) -> bytes:
         raise IoError(f"cannot read {what} {path}: {exc}") from None
 
 
+def read_text(path, what: str) -> str:
+    """A whole file decoded as UTF-8, for the lenient line-oriented formats."""
+    try:
+        return read_file(path, what).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} {path} is not UTF-8: {exc}") from None
+
+
 def write_file(path, data: bytes, what: str, mode: int = 0o666) -> None:
     """Replace the file's contents; a file created here gets ``mode``."""
     try:

@@ -9,7 +9,9 @@ Replies: OK (``data`` for read, newline-joined names for list), DENIED
 (always just ``reason: denied``; the grant table must not leak through
 error detail), or ERROR with a machine reason. The handshake runs with
 willingness to enforce restrictions, so capabilities verify here and
-their policies bound what the bearer can do.
+their policies bound what the bearer can do. Both policies are checked
+against the canonical object name, the one storage opens, so dot
+segments cannot reach past what they allow.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from ..wire.frames import serve_messages
 from ..wire.handshake import server_handshake
 from ..wire.server import AuthenticatedServer
 from .authz import LocalGrantTable, ServiceRegistry, authorize
-from .storage import VirtualRoot, handle_file_op
+from .storage import VirtualRoot, canonical_name, handle_file_op
 
 
 class ResourceServer(AuthenticatedServer):
@@ -37,7 +39,7 @@ class ResourceServer(AuthenticatedServer):
     name = "resourced"
     logger = logging.getLogger("casauth.resourced")
     error_reasons = frozenset({"not-found", "is-directory", "not-directory",
-                               "path-escape", "io", "parse"})
+                               "path-escape", "io", "parse", "expired"})
 
     def __init__(self, table: LocalGrantTable, root: Path | str,
                  chain: CertificateChain, leaf_key: Any,
@@ -74,16 +76,16 @@ class ResourceServer(AuthenticatedServer):
             path = message.get("path", "")
             service = message.get("service", "file")
             payload = bytes.fromhex(message["data"]) if "data" in message else None
-            req = Request(service, action, path)
+            req = Request(service, action, canonical_name(path))
         except ValueError:
             return {"msg": "ERROR", "reason": "parse"}
 
         if not authorize(self._table, subject, self._registry, req,
                          self._evaluators).is_permit:
-            self.logger.info("denied %s %s for %s", action, path, subject.identity)
+            self.logger.info("denied %s %s for %s", action, req.object, subject.identity)
             return {"msg": "DENIED", "reason": "denied"}
         if action == "write":
-            with self._lock_for(path):
+            with self._lock_for(req.object):
                 result = handle_file_op(self._root, req, payload)
         else:
             result = handle_file_op(self._root, req, payload)

@@ -11,6 +11,28 @@ from ..errors import IoError, IsDirectory, NotDirectory, NotFound, PathEscape
 from ..policy.model import Request
 
 
+def canonical_name(object_path: str) -> str:
+    """The object name with dot segments removed (RFC 3986 section 5.2.4).
+
+    Empty and "." segments drop and ".." pops, so "/a/./b//c/../d/" is
+    "/a/b/d". A relative name, or one that pops past the root, raises
+    PathEscape. The resource authorizes and stores under this one name.
+    """
+    if not object_path.startswith("/"):
+        raise PathEscape(f"object names are absolute, got {object_path!r}")
+    parts: list[str] = []
+    for segment in object_path.split("/"):
+        if segment in ("", "."):
+            continue
+        if segment == "..":
+            if not parts:
+                raise PathEscape(f"{object_path!r} climbs out of the root")
+            parts.pop()
+        else:
+            parts.append(segment)
+    return "/" + "/".join(parts)
+
+
 @dataclass(frozen=True)
 class VirtualRoot:
     """Object names are absolute "/"-separated paths interpreted under root."""
@@ -20,22 +42,9 @@ class VirtualRoot:
     def resolve(self, object_path: str) -> Path:
         """Map an object name to a real path, never outside the root.
 
-        Normalization happens before any filesystem access: ".." segments
-        pop, and popping past the root (or a relative name) is rejected.
+        The name is made canonical before any filesystem access.
         """
-        if not object_path.startswith("/"):
-            raise PathEscape(f"object names are absolute, got {object_path!r}")
-        parts: list[str] = []
-        for segment in object_path.split("/"):
-            if segment in ("", "."):
-                continue
-            if segment == "..":
-                if not parts:
-                    raise PathEscape(f"{object_path!r} climbs out of the root")
-                parts.pop()
-            else:
-                parts.append(segment)
-        return Path(self.root).joinpath(*parts)
+        return Path(self.root).joinpath(*canonical_name(object_path).split("/"))
 
 
 def _read(path: Path) -> bytes:

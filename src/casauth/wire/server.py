@@ -1,8 +1,9 @@
 """The server core casd and cas-resourced share.
 
 It owns the listening socket and the thread that serves it, gives every
-accepted connection an idle timeout, logs handshakes that fail, and turns
-a CasError raised while handling a message into the reply the protocol
+accepted connection an idle timeout, logs handshakes that fail, refuses
+every message once the peer's credential has expired, and turns a
+CasError raised while handling a message into the reply the protocol
 defines for it. A subclass supplies ``_handle_connection(sock)``, which
 runs the handshake (a CasError escaping it is logged as a rejected
 handshake) and then serves messages through ``_reply``, and
@@ -18,7 +19,7 @@ from typing import Any, Callable
 
 from ..credential.certs import CertificateChain
 from ..credential.verify import EnforcementContext, VerifiedSubject
-from ..errors import CasError, Refused
+from ..errors import CasError, Expired, Refused, TransportError
 from ..policy.model import LANGUAGE
 
 SESSION_TIMEOUT = 30.0
@@ -29,8 +30,9 @@ class AuthenticatedServer:
 
     name: str  # the serving thread's name and the start-up log line's
     logger: logging.Logger
-    # The ERROR reasons this server's protocol defines. A failure whose
-    # reason is not among them is the server's own fault: ``internal``.
+    # The ERROR reasons this server's protocol defines, ``expired`` among
+    # them. A failure whose reason is not among them is the server's own
+    # fault: ``internal``.
     error_reasons: frozenset[str]
 
     def __init__(self, chain: CertificateChain, leaf_key: Any,
@@ -66,7 +68,11 @@ class AuthenticatedServer:
             daemon_threads = True
             allow_reuse_address = True
 
-        self._tcp = tcp = Server(self._listen, Handler)
+        try:
+            self._tcp = tcp = Server(self._listen, Handler)
+        except OSError as exc:
+            raise TransportError(
+                f"cannot listen on {self._listen[0]}:{self._listen[1]}: {exc}") from None
         self._thread = threading.Thread(
             target=lambda: tcp.serve_forever(poll_interval=0.05),
             name=self.name, daemon=True)
@@ -91,6 +97,11 @@ class AuthenticatedServer:
     def _reply(self, message: dict[str, str],
                subject: VerifiedSubject) -> dict[str, str]:
         try:
+            # Validity was checked at the handshake; a session may outlive it.
+            now, validity = self._clock(), subject.effective_validity
+            if not validity.contains(now):
+                raise Expired(f"time {now} outside "
+                              f"[{validity.not_before}, {validity.not_after}]")
             return self._dispatch(message, subject)
         except CasError as exc:
             self.logger.info("%s from %s failed: %s", message["msg"],

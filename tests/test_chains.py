@@ -17,7 +17,6 @@ from casauth.credential.issue import (
     CertificateAuthority,
     delegate,
     issue_identity,
-    reset_serial_counters,
 )
 from casauth.credential.keys import DEFAULT_SCHEME
 from casauth.credential.verify import (
@@ -79,15 +78,22 @@ def test_issue_identity_rejects_inverted_interval(ca, rng):
                        ValidityInterval(2000, 1000))
 
 
-def test_serials_distinct_and_start_at_one(rng):
-    reset_serial_counters()
+def test_serials_are_random_positive_and_distinct(rng):
     ca = CertificateAuthority.create("FreshCA", WIDE, rng=rng)
     pk, _ = DEFAULT_SCHEME.generate(rng)
-    first = ca.issue_identity("a", pk, WIDE)
-    second = ca.issue_identity("b", pk, WIDE)
-    assert first.serial != second.serial
-    assert first.serial == 2  # serial 1 went to the self-signed anchor
-    assert second.serial == 3
+    chain, key = ca.issue_credential("a", WIDE, rng=rng)
+    certs = [ca.certificate, chain.certs[0],
+             *(ca.issue_identity(f"s{i}", pk, WIDE) for i in range(20)),
+             delegate(chain, key, pk, WIDE).leaf]
+    serials = [c.serial for c in certs]
+    assert len(set(serials)) == len(serials)
+    assert all(0 < s < 2**64 for s in serials)
+    # Two authorities made from the same seed still draw their own serials:
+    # the seed fixes keys, never serials.
+    again = CertificateAuthority.create("FreshCA", WIDE, rng=random.Random(7))
+    twin = CertificateAuthority.create("FreshCA", WIDE, rng=random.Random(7))
+    assert again.public_key == twin.public_key
+    assert again.certificate.serial != twin.certificate.serial
 
 
 def test_delegate_extends_chain(ca, rng):

@@ -1,9 +1,15 @@
 """Command-line tools end to end, pinned to their exit-code contract."""
 
+import os
+import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import casauth
 from casauth.casd.db import CommunityDB
 from casauth.casd.server import CasServer
 from casauth.client.cli import (
@@ -225,3 +231,102 @@ def test_casd_main_missing_trust_store_exits_1(cli_world, tmp_path, capsys):
 def test_unwritable_trust_store_is_io_error(ca, tmp_path):
     with pytest.raises(IoError):
         save_trust_store(tmp_path / "no-such-dir" / "trust", [ca.certificate])
+
+
+def test_keygen_in_separate_processes_gives_distinct_serials(tmp_path):
+    # Each run is a new process, as at a shell: nothing carries over between them.
+    ca_cred = tmp_path / "ca.cred"
+    anchor = tmp_path / "trust.anchor"
+    assert main_keygen(["ca", "--name", "AlphaCA", "--cred-out", str(ca_cred),
+                        "--anchor-out", str(anchor)]) == EXIT_OK
+    src = str(Path(casauth.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    serials = [anchor.serial for anchor in load_trust_store(anchor)]
+    for i in range(3):
+        out = tmp_path / f"user{i}.cred"
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from casauth.client.cli import main_keygen; "
+             "sys.exit(main_keygen(sys.argv[1:]))",
+             "issue", "--ca-cred", str(ca_cred), "--subject", f"CN=user{i}",
+             "--cred-out", str(out)],
+            check=True, env=env, capture_output=True)
+        serials.append(load_credential(out)[0].certs[0].serial)
+    assert len(set(serials)) == 4
+
+
+# --- every command fails with one line, never a traceback -------------------------
+
+@pytest.fixture
+def cli_files(tmp_path):
+    """A CA, a credential, a trust store and a grant table, on disk only."""
+    ca_cred, anchor = tmp_path / "ca.cred", tmp_path / "trust.anchor"
+    cred, grants = tmp_path / "user.cred", tmp_path / "grants"
+    assert main_keygen(["ca", "--name", "AlphaCA", "--cred-out", str(ca_cred),
+                        "--anchor-out", str(anchor)]) == EXIT_OK
+    assert main_keygen(["issue", "--ca-cred", str(ca_cred), "--subject", "CN=u",
+                        "--cred-out", str(cred)]) == EXIT_OK
+    save_grant_table(grants, {"CN=u": make_policy([("file", ["read"], ["/*"])])})
+    not_utf8 = tmp_path / "not-utf8"
+    not_utf8.write_bytes(b"listen: \xff\n")
+    busy = socket.socket()
+    busy.bind(("127.0.0.1", 0))
+    busy.listen()
+    yield {"tmp": str(tmp_path), "cred": str(cred), "trust": str(anchor),
+           "grants": str(grants), "not_utf8": str(not_utf8),
+           "busy": f"127.0.0.1:{busy.getsockname()[1]}"}
+    busy.close()
+
+
+def _casd(f, *argv):
+    from casauth.casd.main import main
+    return main(["--cred", f["cred"], "--trust", f["trust"],
+                 "--db", f["tmp"] + "/community.db", *argv])
+
+
+def _resourced(f, *argv):
+    from casauth.resourced.main import main
+    return main(["--root", f["tmp"], "--cred", f["cred"], "--trust", f["trust"],
+                 "--grants", f["grants"], *argv])
+
+
+def _scenario(f, *argv):
+    from casauth.harness.cli import main
+    return main(list(argv))
+
+
+def _client(main):
+    return lambda f, *argv: main(["--trust", f["trust"], *argv])
+
+
+CLI_FAILURES = {
+    "admin-bad-endpoint": ("cas-admin", _client(main_admin), lambda f: [
+        "--cas", "host:notaport", "--cred", f["cred"], "enroll-user", "a", "CN=a"]),
+    "file-bad-endpoint": ("cas-file", _client(main_file), lambda f: [
+        "--resource", "host:99999", "--proxy", f["cred"], "read", "/x"]),
+    "proxy-init-bad-endpoint": ("cas-proxy-init", _client(main_proxy_init), lambda f: [
+        "--cas", "host:", "--cred", f["cred"], "--all"]),
+    "casd-bad-listen": ("casd", _casd, lambda f: ["--listen", "127.0.0.1:http"]),
+    "resourced-bad-listen": ("cas-resourced", _resourced, lambda f: [
+        "--listen", "no-port"]),
+    "casd-config-not-utf8": ("casd", _casd, lambda f: ["--config", f["not_utf8"]]),
+    "proxy-init-missing-want": ("cas-proxy-init", _client(main_proxy_init), lambda f: [
+        "--cas", "127.0.0.1:1", "--cred", f["cred"], "--want", f["tmp"] + "/absent"]),
+    "file-missing-input": ("cas-file", _client(main_file), lambda f: [
+        "--resource", "127.0.0.1:1", "--proxy", f["cred"],
+        "--input", f["tmp"] + "/absent", "write", "/x"]),
+    "scenario-not-utf8": ("cas-scenario", _scenario, lambda f: ["run", f["not_utf8"]]),
+    "casd-port-in-use": ("casd", _casd, lambda f: ["--listen", f["busy"]]),
+    "resourced-port-in-use": ("cas-resourced", _resourced, lambda f: [
+        "--listen", f["busy"]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_FAILURES))
+def test_command_failure_is_one_line_not_a_traceback(case, cli_files, capsys):
+    prog, main, argv = CLI_FAILURES[case]
+    capsys.readouterr()
+    assert main(cli_files, *argv(cli_files)) == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{prog}: "), err

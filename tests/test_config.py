@@ -46,8 +46,12 @@ def test_unknown_config_keys_rejected():
 
 def test_split_endpoint():
     assert split_endpoint("127.0.0.1:7512") == ("127.0.0.1", 7512)
-    with pytest.raises(ValueError):
-        split_endpoint("no-port")
+    assert split_endpoint("::1:0") == ("::1", 0)
+    assert split_endpoint("h:65535") == ("h", 65535)
+    for bad in ("no-port", "h:", "h:notaport", "h:65536", "h:-1", "h:+1",
+                "h: 1", "h:\u0661"):
+        with pytest.raises(ParseError):
+            split_endpoint(bad)
 
 
 def test_credential_file_round_trip(tmp_path, ca, rng):

@@ -1,5 +1,6 @@
 """Community database snapshots: round trips, canonical form, validation."""
 
+import os
 import random
 
 import pytest
@@ -120,6 +121,28 @@ def test_sections_required_in_order():
 def test_load_missing_file_is_io_error(tmp_path):
     with pytest.raises(IoError):
         load_db(tmp_path / "absent")
+
+
+def test_save_flushes_the_snapshot_to_disk_before_the_rename(tmp_path, monkeypatch):
+    path = tmp_path / "community.db"
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def recording_replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    save_db(populated_db(), path)
+    # The temp file is synced, then becomes the snapshot (a rename keeps the inode).
+    inode = path.stat().st_ino
+    assert events == [("fsync", inode), ("replace", inode)]
+    assert load_db(path) == populated_db()
 
 
 def test_trust_anchors_reattached_on_load(tmp_path, ca):

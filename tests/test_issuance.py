@@ -1,11 +1,13 @@
 """Capability issuance: intersection, sessions, clamping, no amplification."""
 
 import random
+import re
+import threading
 
 import pytest
 
 from casauth.casd.db import CommunityDB, PolicyStatement, UserEntry
-from casauth.casd.issuance import CapabilityIssuer
+from casauth.casd.issuance import PROXY_GROUP_PREFIX, CapabilityIssuer
 from casauth.casd.rights import compute_user_rights
 from casauth.credential.certs import ValidityInterval
 from casauth.credential.keys import DEFAULT_SCHEME
@@ -102,8 +104,14 @@ def test_sessions_get_distinct_proxy_groups(ca, rng, issuer, alice_db):
     session_pk, _ = DEFAULT_SCHEME.generate(rng)
     first = issuer.request_capability(alice_db, subject, session_pk, ALL, 3600, NOW)
     second = issuer.request_capability(alice_db, subject, session_pk, ALL, 3600, NOW)
-    assert first.leaf.proxy_group == "cas-session-1"
-    assert second.leaf.proxy_group == "cas-session-2"
+    # A second issuer with the same credential, as after a restart.
+    other = CapabilityIssuer(issuer.chain, issuer.leaf_key)
+    third = other.request_capability(alice_db, subject, session_pk, ALL, 3600, NOW)
+    groups = [c.leaf.proxy_group for c in (first, second, third)]
+    assert len(set(groups)) == 3
+    for group in groups:
+        assert group.startswith(PROXY_GROUP_PREFIX)
+        assert re.fullmatch(r"[0-9a-f]{16}", group[len(PROXY_GROUP_PREFIX):])
     v_first = verify_chain(first, store, NOW, WILLING)
     v_second = verify_chain(second, store, NOW, WILLING)
     assert not same_principal(v_first, v_second)
@@ -179,24 +187,25 @@ def test_capability_restriction_equals_held_rights_for_all(ca, rng, issuer, alic
     assert restriction_doc(capability) == held
 
 
-def test_session_counter_is_atomic():
-    import threading
-
-    from casauth.casd.issuance import SessionCounter
-
-    counter = SessionCounter()
-    seen = []
+def test_concurrent_issuance_gives_distinct_serials_and_proxy_groups(
+        ca, rng, issuer, alice_db):
+    subject, _ = subject_for(ca, rng)
+    session_pk, _ = DEFAULT_SCHEME.generate(rng)
+    issued = []
     lock = threading.Lock()
 
     def worker():
-        values = [counter.next() for _ in range(250)]
+        leaves = [issuer.request_capability(alice_db, subject, session_pk, ALL,
+                                            3600, NOW).leaf for _ in range(250)]
         with lock:
-            seen.extend(values)
+            issued.extend(leaves)
 
     threads = [threading.Thread(target=worker) for _ in range(4)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
-    assert len(seen) == 1000
-    assert len(set(seen)) == 1000
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert len(issued) == 1000
+    assert len({leaf.serial for leaf in issued}) == 1000
+    assert len({leaf.proxy_group for leaf in issued}) == 1000

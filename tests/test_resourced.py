@@ -33,7 +33,8 @@ from casauth.resourced.grants import (
     save_grant_table,
     serialize_grant_table,
 )
-from casauth.resourced.storage import VirtualRoot, handle_file_op
+from casauth.resourced.server import ResourceServer
+from casauth.resourced.storage import VirtualRoot, canonical_name, handle_file_op
 
 from genutils import ACTIONS, OBJECTS, random_document
 from oracles import oracle_evaluate, oracle_stack
@@ -170,6 +171,51 @@ def test_dotdot_inside_root_is_fine(tmp_path):
     root = VirtualRoot(tmp_path)
     handle_file_op(root, Request("file", "write", "/a/b/../c"), b"x")
     assert (tmp_path / "a" / "c").read_bytes() == b"x"
+
+
+# --- the resource decides on the canonical name ------------------------------------
+
+# The grantor holds /esg and /secret; the capability narrows it to /esg.
+ESG_TABLE = {"cas.esg": doc((["/esg/*", "/secret/*"], ["read", "list"]))}
+ESG_ONLY = subject_with([doc((["/esg/*"], ["read", "list"]))])
+
+
+@pytest.fixture(scope="module")
+def esg_server(tmp_path_factory):
+    root = tmp_path_factory.mktemp("root")
+    for name, data in (("esg/a", b"ESG"), ("secret/b", b"SECRET")):
+        (root / name).parent.mkdir(exist_ok=True)
+        (root / name).write_bytes(data)
+    return ResourceServer(ESG_TABLE, root, None, None, clock=lambda: 1000)
+
+
+def file_reply(server, action, path):
+    return server._reply({"msg": "FILE-OP", "action": action, "path": path}, ESG_ONLY)
+
+
+def test_dot_segments_cannot_reach_past_the_capability(esg_server):
+    assert file_reply(esg_server, "read", "/esg/../secret/b") == \
+        {"msg": "DENIED", "reason": "denied"}
+    assert file_reply(esg_server, "read", "/esg//x/.././a") == \
+        {"msg": "OK", "data": b"ESG".hex()}
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(["esg", "secret", "a", "b", ".", "..", ""]), max_size=6),
+       st.booleans(), st.sampled_from(["read", "list"]))
+def test_decision_on_raw_name_is_decision_on_canonical_name(esg_server, segments,
+                                                            trailing, action):
+    raw = "/" + "/".join(segments) + ("/" if trailing else "")
+    reply = file_reply(esg_server, action, raw)
+    try:
+        name = canonical_name(raw)
+    except PathEscape:
+        assert reply == {"msg": "ERROR", "reason": "path-escape"}
+        return
+    assert reply == file_reply(esg_server, action, name)
+    if reply["msg"] == "OK":
+        # Only names both policies match are ever served.
+        assert name == "/esg" or name.startswith("/esg/")
 
 
 # --- grant table files ---------------------------------------------------------------

@@ -21,9 +21,10 @@ from casauth.client.api import (
     expect_reply,
     file_op,
 )
+from casauth.client.session import ClientSession
 from casauth.clocks import ManualClock
 from casauth.credential.certs import ValidityInterval, encode_chain
-from casauth.credential.issue import CertificateAuthority
+from casauth.credential.issue import CertificateAuthority, reset_serial_counters
 from casauth.credential.keys import DEFAULT_SCHEME
 from casauth.credential.verify import EnforcementContext, verify_chain
 from casauth.errors import (
@@ -428,3 +429,48 @@ def test_codec_observation_points_are_called(world, monkeypatch):
             "read", "/esg/data/t42.nc",
             trust_store=world["store"], clock=world["clock"])
     assert all(calls.values()), calls
+
+
+# --- validity inside an open session, and a restart ---------------------------------
+
+def test_expired_capability_refused_inside_open_session(world):
+    capability, session_key = acquire(world, lifetime=100)
+    request = {"msg": "FILE-OP", "action": "read", "path": "/esg/data/t42.nc"}
+    with ClientSession(world["resource"].address, capability, session_key,
+                       world["store"], clock=world["clock"]) as session:
+        assert expect_reply(session.request(request), "OK")
+        world["clock"].advance(500)
+        with pytest.raises(Expired):
+            expect_reply(session.request(request), "OK")
+
+
+def test_expired_credential_refused_inside_open_casd_session(world, rng):
+    now = world["clock"]()
+    chain, key = world["ca"].issue_credential(
+        "CN=alice", ValidityInterval(now, now + 100), rng=rng)
+    session_pk, _ = DEFAULT_SCHEME.generate(rng)
+    request = capability_request_fields(ALL, session_pk, 60)
+    with ClientSession(world["cas"].address, chain, key, world["store"],
+                       clock=world["clock"]) as session:
+        assert expect_reply(session.request(request), "CAPABILITY")
+        world["clock"].advance(500)
+        with pytest.raises(Expired):
+            expect_reply(session.request(request), "CAPABILITY")
+
+
+def test_restarted_casd_issues_new_serial_and_proxy_group(world):
+    before, _ = acquire(world)
+    old = world["cas"]
+    old.shutdown()
+    reset_serial_counters()  # what a new process would start from
+    cas = CasServer(load_db(world["db_path"], world["store"]), old._chain,
+                    old._leaf_key, db_path=str(world["db_path"]),
+                    clock=world["clock"]).start()
+    try:
+        chain, key = world["alice"]
+        after, _ = acquire_capability(cas.address, chain, key, ALL, 3600,
+                                      trust_store=world["store"], clock=world["clock"])
+    finally:
+        cas.shutdown()
+    assert after.leaf.serial != before.leaf.serial
+    assert after.leaf.proxy_group != before.leaf.proxy_group
