@@ -1,8 +1,10 @@
 """Community database: membership, groups, policy statements, snapshots.
 
-The snapshot is a line-oriented text file with five fixed sections, every
-section sorted by name so that saving is canonical (re-saving a loaded
-snapshot is byte-identical):
+The snapshot is a line-oriented text file with five fixed sections. Names
+are listed sorted, and statements in ascending id order, the order
+``CommunityDB.statements`` always keeps them in. So saving is canonical
+(re-saving a loaded snapshot is byte-identical), and a snapshot whose
+statements are out of id order is refused:
 
     [users]
     alice enrolled CN=alice
@@ -68,7 +70,7 @@ class CommunityDB:
     resources: dict[str, str] = field(default_factory=dict)
     user_groups: dict[str, set[str]] = field(default_factory=dict)
     resource_groups: dict[str, set[str]] = field(default_factory=dict)
-    statements: list[PolicyStatement] = field(default_factory=list)
+    statements: list[PolicyStatement] = field(default_factory=list)  # by ascending id
     next_statement_id: int = 1
 
     def clone(self) -> "CommunityDB":
@@ -84,39 +86,57 @@ class CommunityDB:
         )
 
 
-def valid_name(name: str) -> bool:
-    """Names of users, resources, and groups: single printable tokens."""
-    if not name or not name.isascii():
-        return False
-    if any(c.isspace() for c in name):
-        return False
-    return not any(c in name for c in ":[]")
-
-
 def _check(cond: bool, message: str) -> None:
     if not cond:
         raise InvariantViolation(message)
+
+
+# Each rule below is checked by ``validate_db`` over a whole snapshot and by
+# the admin verbs over just what they touch.
+
+def check_name(kind: str, name: str) -> None:
+    """Names of users, resources, and groups: single printable tokens."""
+    if not (name and name.isascii() and not any(c.isspace() for c in name)
+            and not any(c in name for c in ":[]")):
+        raise InvariantViolation(f"bad {kind} name {name!r}")
+
+
+def check_identity(name: str, identity: str) -> None:
+    if not identity or "\n" in identity:
+        raise InvariantViolation(f"bad identity for user {name!r}")
+
+
+# ``owner`` and ``key`` name what holds the pattern or action, for the error.
+
+def check_pattern(pattern: str, owner: str, key) -> None:
+    try:
+        ObjectPattern(pattern)
+    except ValueError as exc:
+        raise InvariantViolation(f"{owner} {key!r}: {exc}") from None
+
+
+def check_action(service: str, action: str, owner: str, key) -> None:
+    try:
+        Action(service, action)
+    except ValueError as exc:
+        raise InvariantViolation(f"{owner} {key!r}: {exc}") from None
 
 
 def validate_db(db: CommunityDB) -> None:
     """Raise InvariantViolation if any referential invariant is broken."""
     identities_seen: set[str] = set()
     for name, entry in db.users.items():
-        _check(valid_name(name), f"bad user name {name!r}")
-        _check(bool(entry.identity) and "\n" not in entry.identity,
-               f"bad identity for user {name!r}")
+        check_name("user", name)
+        check_identity(name, entry.identity)
         if entry.enrolled:
             _check(entry.identity not in identities_seen,
                    f"identity {entry.identity!r} enrolled twice")
             identities_seen.add(entry.identity)
     for name, pattern in db.resources.items():
-        _check(valid_name(name), f"bad resource name {name!r}")
-        try:
-            ObjectPattern(pattern)
-        except ValueError as exc:
-            raise InvariantViolation(f"resource {name!r}: {exc}") from None
+        check_name("resource", name)
+        check_pattern(pattern, "resource", name)
     for group, members in db.user_groups.items():
-        _check(valid_name(group), f"bad group name {group!r}")
+        check_name("group", group)
         _check(group not in db.resource_groups,
                f"group name {group!r} used for both kinds")
         for member in members:
@@ -124,15 +144,14 @@ def validate_db(db: CommunityDB) -> None:
             _check(db.users[member].enrolled,
                    f"group {group!r} member {member!r} is not enrolled")
     for group, members in db.resource_groups.items():
-        _check(valid_name(group), f"bad group name {group!r}")
+        check_name("group", group)
         for member in members:
             _check(member in db.resources,
                    f"resource group {group!r} member {member!r} not a resource")
-    ids_seen: set[int] = set()
+    previous = 0
     for stmt in db.statements:
-        _check(stmt.id >= 1, f"statement id {stmt.id} not positive")
-        _check(stmt.id not in ids_seen, f"duplicate statement id {stmt.id}")
-        ids_seen.add(stmt.id)
+        _check(stmt.id > previous, f"statement id {stmt.id} not above {previous}")
+        previous = stmt.id
         if stmt.grantee_kind == GRANTEE_USER:
             _check(stmt.grantee in db.users,
                    f"statement {stmt.id} grantee {stmt.grantee!r} not a user")
@@ -148,20 +167,12 @@ def validate_db(db: CommunityDB) -> None:
             _check(stmt.object_ref in db.resource_groups,
                    f"statement {stmt.id} object {stmt.object_ref!r} not a resource group")
         elif stmt.object_kind == OBJECT_PATTERN:
-            try:
-                ObjectPattern(stmt.object_ref)
-            except ValueError as exc:
-                raise InvariantViolation(f"statement {stmt.id}: {exc}") from None
+            check_pattern(stmt.object_ref, "statement", stmt.id)
         else:
             raise InvariantViolation(f"statement {stmt.id}: bad object kind")
-        try:
-            Action(stmt.service_type, stmt.action_name)
-        except ValueError as exc:
-            raise InvariantViolation(f"statement {stmt.id}: {exc}") from None
-    _check(db.next_statement_id >= 1, "next statement id must be positive")
-    if ids_seen:
-        _check(db.next_statement_id > max(ids_seen),
-               "next statement id must exceed every existing id")
+        check_action(stmt.service_type, stmt.action_name, "statement", stmt.id)
+    _check(db.next_statement_id > previous,
+           "next statement id must be positive and exceed every statement id")
 
 
 # --- snapshot serialization --------------------------------------------------
@@ -185,14 +196,15 @@ def serialize_db(db: CommunityDB) -> bytes:
         lines.append(f"{group}:" + (f" {members}" if members else ""))
     lines.append("[statements]")
     lines.append(f"next-id {db.next_statement_id}")
-    for stmt in sorted(db.statements, key=lambda s: s.id):
+    for stmt in db.statements:
         lines.append(f"{stmt.id} {stmt.grantee_kind}:{stmt.grantee} "
                      f"{stmt.object_kind}:{stmt.object_ref} "
                      f"{stmt.service_type} {stmt.action_name}")
     return join_lines(lines)
 
 
-def _parse_tagged(token: str, kinds: tuple[str, ...], line_no: int) -> tuple[str, str]:
+def parse_tagged(token: str, kinds: tuple[str, ...],
+                 line_no: int | None = None) -> tuple[str, str]:
     kind, sep, value = token.partition(":")
     if not sep or kind not in kinds or not value:
         raise ParseError(f"expected one of {kinds} with ':<value>', got {token!r}",
@@ -254,9 +266,9 @@ def parse_db(data: bytes, trust_anchors=frozenset()) -> CommunityDB:
                 stmt_id = int(parts[0], 10)
             except ValueError:
                 raise ParseError("statement id is not an integer", line=i) from None
-            gk, gv = _parse_tagged(parts[1], (GRANTEE_USER, GRANTEE_GROUP), i)
-            ok, ov = _parse_tagged(parts[2], (OBJECT_RESOURCE, OBJECT_RGROUP,
-                                              OBJECT_PATTERN), i)
+            gk, gv = parse_tagged(parts[1], (GRANTEE_USER, GRANTEE_GROUP), i)
+            ok, ov = parse_tagged(parts[2], (OBJECT_RESOURCE, OBJECT_RGROUP,
+                                             OBJECT_PATTERN), i)
             db.statements.append(PolicyStatement(stmt_id, gk, gv, ok, ov,
                                                  parts[3], parts[4]))
         else:

@@ -42,7 +42,7 @@ def compute_user_rights(db: CommunityDB, user_identity: str) -> PolicyDocument:
         return PolicyDocument()
     groups = {g for g, members in db.user_groups.items() if name in members}
     rights: list[Right] = []
-    for stmt in sorted(db.statements, key=lambda s: s.id):
+    for stmt in db.statements:  # already in id order
         if stmt.grantee_kind == GRANTEE_USER:
             if stmt.grantee != name:
                 continue

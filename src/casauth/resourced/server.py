@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import socket
-import threading
 from pathlib import Path
 from typing import Any, Callable
 
@@ -52,16 +51,10 @@ class ResourceServer(AuthenticatedServer):
         self._trust_store = tuple(trust_store or ())
         self._registry = ServiceRegistry()
         self._evaluators = EvaluatorRegistry()
-        self._path_locks: dict[str, threading.Lock] = {}
-        self._path_locks_guard = threading.Lock()
 
     def set_grant_table(self, table: LocalGrantTable) -> None:
         """Swap the grant table (reference assignment, safe mid-session)."""
         self._table = dict(table)
-
-    def _lock_for(self, path: str) -> threading.Lock:
-        with self._path_locks_guard:
-            return self._path_locks.setdefault(path, threading.Lock())
 
     def _handle_connection(self, sock: socket.socket) -> None:
         subject = server_handshake(sock, self._chain, self._leaf_key,
@@ -84,11 +77,9 @@ class ResourceServer(AuthenticatedServer):
                          self._evaluators).is_permit:
             self.logger.info("denied %s %s for %s", action, req.object, subject.identity)
             return {"msg": "DENIED", "reason": "denied"}
-        if action == "write":
-            with self._lock_for(req.object):
-                result = handle_file_op(self._root, req, payload)
-        else:
-            result = handle_file_op(self._root, req, payload)
+        # storage writes a temp file and renames it over the name, so
+        # concurrent writes and reads of one name need no lock here
+        result = handle_file_op(self._root, req, payload)
 
         reply = {"msg": "OK"}
         if action == "read":

@@ -1,16 +1,21 @@
 """Delegated administration: who may run which verb, and what it does."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from casauth.casd.admin import AdminCommand, apply_admin, authorize_admin
-from casauth.casd.db import CommunityDB, serialize_db
+from casauth.casd.admin import AdminCommand, _mutate, apply_admin, authorize_admin
+from casauth.casd.db import CommunityDB, serialize_db, validate_db
 from casauth.errors import (
+    CasError,
     DuplicateName,
     InvariantViolation,
     NotAuthorized,
     UnknownActor,
     UnknownName,
 )
+
+from genutils import ACTIONS, PATTERNS, SERVICES, random_db
 
 BOOTSTRAP = "CN=root-admin"
 
@@ -163,3 +168,89 @@ def test_arity_validated(db):
 def test_spaced_identity_enrollment(db):
     db = bootstrap_apply(db, cmd("enroll-user", "ann", "CN=Ann", "Example"))
     assert db.users["ann"].identity == "CN=Ann Example"
+
+
+# --- the write path checks each command once ---------------------------------------
+
+def checked_whole(db, c):
+    """The write path as it was: mutate a copy, then validate all of it."""
+    authorize_admin(db, BOOTSTRAP, c, BOOTSTRAP)
+    new_db = db.clone()
+    _mutate(new_db, c)
+    validate_db(new_db)
+    return new_db
+
+
+def outcome(apply, *args):
+    try:
+        return apply(*args)
+    except CasError as exc:
+        return type(exc)
+
+
+# random_db names users user0.., resources res0.., groups ugroup0.. and rgroup0..
+_USERS = tuple(f"user{i}" for i in range(5))
+_RESOURCES = tuple(f"res{i}" for i in range(4))
+_GROUPS = ("ugroup0", "ugroup1", "ugroup2", "rgroup0", "rgroup1")
+_BAD_NAMES = ("", "two words", "a:b", "[x]", "caf\u00e9")
+_BAD_TERMS = ("", "File", "x:y", "two words")
+
+
+def _commands(users, resources, groups, identities, patterns, grantees, objects,
+              services, actions, ids):
+    pick = st.sampled_from
+    return st.one_of(
+        st.builds(lambda n, i: cmd("enroll-user", n, *i), pick(users), pick(identities)),
+        st.builds(lambda n: cmd("unenroll-user", n), pick(users)),
+        st.builds(lambda n, p: cmd("enroll-resource", n, p), pick(resources),
+                  pick(patterns)),
+        st.builds(lambda k, g: cmd("create-group", k, g), pick(("user", "resource")),
+                  pick(groups)),
+        st.builds(lambda v, g, m: cmd(v, g, m), pick(("group-add", "group-remove")),
+                  pick(groups), pick(users + resources)),
+        st.builds(lambda g, o, s, a: cmd("grant", g, o, s, a), pick(grantees),
+                  pick(objects), pick(services), pick(actions)),
+        st.builds(lambda i: cmd("revoke", i), pick(ids)),
+    )
+
+
+# Commands built mostly from well-formed parts (a third of the enrollments
+# carry an empty or multi-line identity), and commands built mostly from
+# malformed ones: bad names, bad patterns and actions, unknown references,
+# re-enrollment, non-integer statement ids, and unknown verbs or arities.
+commands = st.one_of(
+    _commands(
+        users=_USERS + ("fresh0", "fresh1"), resources=_RESOURCES + ("fresh-res",),
+        groups=_GROUPS + ("fresh-group",),
+        identities=(("CN=fresh0",), ("CN=fresh1",), ("CN=Ann", "Example"), ("CN=user0",),
+                    ("",), ("CN=a\nb",)),
+        patterns=PATTERNS,
+        grantees=tuple(f"user:{u}" for u in _USERS) + ("group:ugroup0", "group:ugroup1"),
+        objects=(tuple(f"resource:{r}" for r in _RESOURCES) + ("rgroup:rgroup0",)
+                 + tuple(f"pattern:{p}" for p in PATTERNS)),
+        services=SERVICES, actions=ACTIONS, ids=tuple(str(i) for i in range(1, 11))),
+    _commands(
+        users=_BAD_NAMES + ("ghost", "user0"), resources=_BAD_NAMES + ("res0",),
+        groups=_BAD_NAMES + ("ghost", "rgroup0"),
+        identities=(("",), ("CN=a\nb",), (), ("CN=user1",)),
+        patterns=("", "a b", "/a*/b", "/**"),
+        grantees=("user:ghost", "group:rgroup0", "group:ghost", "user", "user:",
+                  "owner:user0", "user:user0"),
+        objects=("resource:ghost", "rgroup:ugroup0", "pattern:a b", "pattern:/**", "res0",
+                 "pattern:", "resource:res0"),
+        services=_BAD_TERMS + ("file",), actions=_BAD_TERMS + ("read",),
+        ids=("0", "-1", "x", "", "99")),
+    st.sampled_from((cmd("drop-table"), cmd("revoke"), cmd("grant", "user:user0"),
+                     cmd("create-group", "other", "fresh-group"))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.lists(commands, max_size=8))
+def test_apply_admin_agrees_with_whole_database_validation(rng, sequence):
+    db = random_db(rng)
+    for c in sequence:
+        got = outcome(apply_admin, db, BOOTSTRAP, c, BOOTSTRAP)
+        assert got == outcome(checked_whole, db, c), c
+        if isinstance(got, CommunityDB):
+            db = got

@@ -88,6 +88,31 @@ def test_statement_references_validated():
         validate_db(db)
 
 
+def test_ghost_grantee_with_ascending_id_rejected():
+    db = populated_db()
+    db.statements.append(PolicyStatement(5, "user", "ghost", "pattern",
+                                         "/x/*", "file", "read"))
+    db.next_statement_id = 6
+    with pytest.raises(InvariantViolation, match="ghost"):
+        validate_db(db)
+
+
+def test_statements_out_of_id_order_rejected_on_load():
+    head = ("[users]\n"
+            "alice enrolled CN=alice\n"
+            "[resources]\n"
+            "[user-groups]\n"
+            "[resource-groups]\n"
+            "[statements]\n"
+            "next-id 5\n")
+    first = "1 user:alice pattern:/a/* file read\n"
+    second = "4 user:alice pattern:/b/* file read\n"
+    in_order = (head + first + second).encode()
+    assert serialize_db(parse_db(in_order)) == in_order
+    with pytest.raises(InvariantViolation, match="statement id 1"):
+        parse_db((head + second + first).encode())
+
+
 def test_duplicate_statement_ids_rejected():
     db = populated_db()
     db.statements.append(PolicyStatement(1, "user", "alice", "pattern",

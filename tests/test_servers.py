@@ -36,6 +36,7 @@ from casauth.errors import (
     NotAuthorized,
     NotEnrolled,
     NotFound,
+    ParseError,
     ProtocolError,
     Refused,
     RestrictedAuthRefused,
@@ -332,6 +333,37 @@ def test_concurrent_writes_never_interleave(world):
     assert final in (payload_a, payload_b)
 
 
+def test_concurrent_writes_and_reads_see_whole_payloads(world):
+    import threading
+
+    world["admin"]("grant", "user:alice", "pattern:/esg/data/*", "file", "write")
+    capability, session_key = acquire(world)
+    payloads = [bytes([65 + i]) * 65536 for i in range(4)]
+    seen, failures = [], []
+
+    def op(action, data=None):
+        return file_op(world["resource"].address, capability, session_key,
+                       action, "/esg/data/shared", data,
+                       trust_store=world["store"], clock=world["clock"])
+
+    def writer(payload):
+        try:
+            for _ in range(5):
+                op("write", payload)
+                seen.append(op("read"))
+        except Exception as exc:  # noqa: BLE001 - surfaced below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+        assert not t.is_alive()
+    assert not failures
+    assert len(seen) == 20 and all(data in payloads for data in seen)
+
+
 # --- the error vocabulary on the wire ------------------------------------------
 
 SERVER_REPLIES = [
@@ -373,6 +405,13 @@ def test_enroll_existing_user_is_duplicate_name(world):
 def test_unenroll_unknown_user_is_unknown_name(world):
     with pytest.raises(UnknownName):
         world["admin"]("unenroll-user", "nobody")
+
+
+def test_malformed_grant_tag_is_error_parse(world):
+    before = world["db_path"].read_bytes()
+    with pytest.raises(ParseError):
+        world["admin"]("grant", "owner:alice", "resource:esg-data", "file", "read")
+    assert world["db_path"].read_bytes() == before
 
 
 # --- the call sites the benchmark's tracer wraps ---------------------------------
