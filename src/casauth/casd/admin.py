@@ -125,9 +125,9 @@ def _mutate(db: CommunityDB, cmd: AdminCommand) -> None:
         entry = db.users.get(name)
         if entry is not None and entry.enrolled:
             raise DuplicateName(f"user {name!r} already enrolled")
-        for other, e in db.users.items():
-            if other != name and e.enrolled and e.identity == identity:
-                raise DuplicateName(f"identity {identity!r} already enrolled as {other!r}")
+        other = find_user(db, identity)
+        if other is not None:
+            raise DuplicateName(f"identity {identity!r} already enrolled as {other!r}")
         check_identity(name, identity)
         db.users[name] = UserEntry(identity, True)
 

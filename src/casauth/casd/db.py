@@ -286,6 +286,8 @@ def save_db(db: CommunityDB, path) -> None:
 
     The bytes go to a temp file beside it, which is flushed to disk before
     it is renamed over the snapshot, so a crash leaves one whole snapshot.
+    The directory is flushed after the rename, so once this returns a power
+    loss cannot bring the old snapshot back.
     """
     data = serialize_db(db)
     directory = os.path.dirname(os.path.abspath(path))
@@ -300,6 +302,11 @@ def save_db(db: CommunityDB, path) -> None:
         except BaseException:
             os.unlink(tmp)
             raise
+        dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     except OSError as exc:
         raise IoError(f"cannot write snapshot {path}: {exc}") from None
 

@@ -2,9 +2,11 @@
 
 Post-handshake message types:
 
-    ADMIN               verb: <verb>   args: <space-separated>
+    ADMIN               verb: <verb>   args: <joined by single spaces>
     REQUEST-CAPABILITY  want: all | policy: <hex of policy text>
-                        session-pk: <hex>   lifetime: <seconds>
+                        session-pk: <hex>   [lifetime: <seconds>]
+
+An absent ``lifetime`` asks for the server's cap (``--max-lifetime``).
 
 Replies are OK (grant adds ``id``), CAPABILITY (``chain``), DENIED
 (``reason``: not-authorized, unknown-actor, denied, not-enrolled,
@@ -88,7 +90,10 @@ class CasServer(AuthenticatedServer):
             raise RestrictedAuthRefused("admin requires an unrestricted credential")
         if "verb" not in message:
             raise ParseError("ADMIN needs a verb")
-        cmd = AdminCommand(message["verb"], tuple(message.get("args", "").split()))
+        # The client joins arguments with single spaces, so splitting on each
+        # one gives back an identity's own runs of whitespace.
+        args = message.get("args", "")
+        cmd = AdminCommand(message["verb"], tuple(args.split(" ")) if args else ())
         with self._write_lock:
             granted_id = self._db.next_statement_id if cmd.verb == "grant" else None
             new_db = apply_admin(self._db, subject.identity, cmd, self._bootstrap_admin)
@@ -118,12 +123,15 @@ class CasServer(AuthenticatedServer):
 
 
 def serve(db: CommunityDB, listen_endpoint: tuple[str, int],
-          server_credential: tuple[CertificateChain, Any], config) -> CasServer:
+          server_credential: tuple[CertificateChain, Any], *,
+          bootstrap_admin: str | None = None,
+          max_lifetime: int = DEFAULT_MAX_LIFETIME,
+          db_path: str | None = None) -> CasServer:
     """Construct and start a server from loaded pieces; blocks forever."""
     chain, leaf_key = server_credential
     server = CasServer(db, chain, leaf_key, listen=listen_endpoint,
-                       bootstrap_admin=config.bootstrap_admin,
-                       max_lifetime=config.max_lifetime, db_path=config.db)
+                       bootstrap_admin=bootstrap_admin,
+                       max_lifetime=max_lifetime, db_path=db_path)
     server.start()
     server.serve_forever()
     return server

@@ -31,7 +31,9 @@ def expect_reply(reply: dict[str, str], expected: str) -> dict[str, str]:
     raise ProtocolError(f"expected {expected}, got {kind}")
 
 
-def capability_request_fields(want, session_pk: bytes, lifetime: int) -> dict[str, str]:
+def capability_request_fields(want, session_pk: bytes,
+                              lifetime: int | None = None) -> dict[str, str]:
+    """The request; without a lifetime the server grants its own cap."""
     fields = {"msg": "REQUEST-CAPABILITY"}
     if want is ALL:
         fields["want"] = "all"
@@ -40,12 +42,13 @@ def capability_request_fields(want, session_pk: bytes, lifetime: int) -> dict[st
     else:
         raise TypeError("want must be a PolicyDocument or ALL")
     fields["session-pk"] = session_pk.hex()
-    fields["lifetime"] = str(int(lifetime))
+    if lifetime is not None:
+        fields["lifetime"] = str(int(lifetime))
     return fields
 
 
 def acquire_capability(cas_endpoint: tuple[str, int], user_chain: CertificateChain,
-                       user_leaf_key: Any, want=ALL, lifetime: int = 43_200, *,
+                       user_leaf_key: Any, want=ALL, lifetime: int | None = None, *,
                        trust_store, clock: Callable[[], int] = system_clock):
     """Fetch a capability; returns (chain, session private key).
 

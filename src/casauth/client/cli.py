@@ -20,11 +20,11 @@ from ..credential.certs import (
 )
 from ..credential.issue import CertificateAuthority
 from ..credfile import load_credential, save_credential
-from ..casd.config import split_endpoint
 from ..errors import CasError, Refused, TransportError
 from ..lines import read_file
 from ..policy.model import ALL
 from ..policy.text import parse_policy
+from ..wire.frames import split_endpoint
 from .api import acquire_capability, admin_command, file_op
 
 EXIT_OK = 0
@@ -156,7 +156,8 @@ def main_proxy_init(argv=None) -> int:
     group.add_argument("--all", action="store_true",
                        help="request everything the community grants you")
     group.add_argument("--want", help="policy file naming the rights to request")
-    parser.add_argument("--lifetime", type=int, default=43_200)
+    parser.add_argument("--lifetime", type=int,
+                        help="capability lifetime in seconds (default: the server's cap)")
     parser.add_argument("--out", help=f"proxy path (default ${PROXY_ENV} or {DEFAULT_PROXY})")
 
     def body(args) -> int:

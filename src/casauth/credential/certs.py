@@ -47,7 +47,6 @@ KINDS = (KIND_TRUST_ANCHOR, KIND_IDENTITY, KIND_PROXY)
 _REQUIRED_KEYS = ("serial", "kind", "subject", "issuer", "subject-pk",
                   "not-before", "not-after")
 _POLICY_KEYS = ("policy-lang", "policy-body", "policy-critical")
-_ALL_KEYS = frozenset(_REQUIRED_KEYS) | frozenset(_POLICY_KEYS) | {"proxy-group", "sig"}
 
 
 def _check_name(value: str, what: str) -> None:
@@ -183,10 +182,9 @@ def _hex_field(fields: dict[str, str], key: str) -> bytes:
 
 
 def _certificate_from_lines(lines: list[str], first_line: int) -> Certificate:
+    # Only the fields are read here; the final re-encoding comparison
+    # refuses unknown fields, field order and any other non-canonical form.
     fields = key_values(lines, first_line)
-    for key in fields:
-        if key not in _ALL_KEYS:
-            raise ParseError(f"unknown field {key!r}")
     for key in _REQUIRED_KEYS + ("sig",):
         if key not in fields:
             raise MissingField(f"missing field {key!r}")
@@ -197,30 +195,21 @@ def _certificate_from_lines(lines: list[str], first_line: int) -> Certificate:
         for key in _POLICY_KEYS:
             if key not in fields:
                 raise MissingField(f"missing field {key!r}")
-        if fields["policy-critical"] != "true":
-            raise ParseError("policy-critical must be 'true'")
         try:
             restriction = RestrictionPolicy(fields["policy-lang"],
                                             _hex_field(fields, "policy-body"))
         except ValueError as exc:
             raise ParseError(str(exc)) from None
 
-    kind = fields["kind"]
-    if kind not in KINDS:
-        raise ParseError(f"unknown certificate kind {kind!r}")
-    serial = _int_field(fields, "serial")
-    if serial < 0:
-        raise ParseError("serial must be nonnegative")
-
     try:
         cert = Certificate(
-            serial=serial,
+            serial=_int_field(fields, "serial"),
             subject_name=fields["subject"],
             issuer_name=fields["issuer"],
             subject_public_key=_hex_field(fields, "subject-pk"),
             validity=ValidityInterval(_int_field(fields, "not-before"),
                                       _int_field(fields, "not-after")),
-            kind=kind,
+            kind=fields["kind"],
             restriction=restriction,
             proxy_group=fields.get("proxy-group"),
             signature=_hex_field(fields, "sig"),

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Any
 
 from ..casd.db import CommunityDB
+from ..casd.issuance import DEFAULT_MAX_LIFETIME
 from ..casd.server import CasServer
 from ..clocks import ManualClock
 from ..credential.certs import CertificateChain, ValidityInterval
@@ -70,7 +71,7 @@ class Deployment:
 
     def spawn_cas(self, name: str, ca_name: str, identity: str,
                   bootstrap_admin: str = DEFAULT_BOOTSTRAP_ADMIN,
-                  max_lifetime: int = 43_200) -> SpawnedCas:
+                  max_lifetime: int = DEFAULT_MAX_LIFETIME) -> SpawnedCas:
         if name in self.cas_servers:
             raise CasError(f"CAS {name!r} already spawned")
         authority = self.authorities[ca_name]

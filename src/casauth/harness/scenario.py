@@ -140,10 +140,13 @@ class _Runner:
             raise ScenarioError(step.index, "spawn-cas needs ca=<name>")
         if ca not in self.deployment.authorities:
             raise ScenarioError(step.index, f"unknown CA {ca!r}")
+        server_options = {}
+        if "max-lifetime" in options:
+            server_options["max_lifetime"] = int(options["max-lifetime"])
         self.deployment.spawn_cas(
             name, ca, options.get("identity", f"cas.{name}"),
             bootstrap_admin=options.get("bootstrap-admin", DEFAULT_BOOTSTRAP_ADMIN),
-            max_lifetime=int(options.get("max-lifetime", "43200")))
+            **server_options)
 
     def _step_spawn_resource(self, step: ScenarioStep) -> None:
         if not step.args:

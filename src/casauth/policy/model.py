@@ -58,22 +58,12 @@ class ObjectPattern:
             raise ValueError(f"'*' may appear only as trailing '/*' or alone: {p!r}")
 
 
-def _coerce_patterns(values) -> tuple[ObjectPattern, ...]:
-    return tuple(v if isinstance(v, ObjectPattern) else ObjectPattern(v) for v in values)
-
-
-def _coerce_actions(values) -> tuple[Action, ...]:
-    return tuple(v if isinstance(v, Action) else Action(*v) for v in values)
-
-
 @dataclass(frozen=True)
 class Right:
     objects: tuple[ObjectPattern, ...]
     actions: tuple[Action, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "objects", _coerce_patterns(self.objects))
-        object.__setattr__(self, "actions", _coerce_actions(self.actions))
         if not self.objects or not self.actions:
             raise ValueError("a right needs at least one object and one action")
 

@@ -11,10 +11,10 @@ import logging
 import signal
 import sys
 
-from ..casd.config import split_endpoint
 from ..credential.certs import load_trust_store
 from ..credfile import load_credential
 from ..errors import CasError
+from ..wire.frames import split_endpoint
 from .grants import load_grant_table
 from .server import ResourceServer
 

@@ -17,6 +17,14 @@ from ..lines import join_lines, key_values, split_lines
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 
+def split_endpoint(endpoint: str) -> tuple[str, int]:
+    """``host:port`` with a decimal port from 0 to 65535."""
+    host, sep, port = endpoint.rpartition(":")
+    if not sep or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise ParseError(f"endpoint must be host:port, got {endpoint!r}")
+    return host, int(port)
+
+
 def encode_message(fields: Mapping[str, str]) -> bytes:
     if "msg" not in fields or not fields["msg"]:
         raise ProtocolError("message needs a nonempty 'msg' field")

@@ -1,5 +1,6 @@
 """Command-line tools end to end, pinned to their exit-code contract."""
 
+import importlib
 import os
 import socket
 import subprocess
@@ -310,7 +311,6 @@ CLI_FAILURES = {
     "casd-bad-listen": ("casd", _casd, lambda f: ["--listen", "127.0.0.1:http"]),
     "resourced-bad-listen": ("cas-resourced", _resourced, lambda f: [
         "--listen", "no-port"]),
-    "casd-config-not-utf8": ("casd", _casd, lambda f: ["--config", f["not_utf8"]]),
     "proxy-init-missing-want": ("cas-proxy-init", _client(main_proxy_init), lambda f: [
         "--cas", "127.0.0.1:1", "--cred", f["cred"], "--want", f["tmp"] + "/absent"]),
     "file-missing-input": ("cas-file", _client(main_file), lambda f: [
@@ -330,3 +330,54 @@ def test_command_failure_is_one_line_not_a_traceback(case, cli_files, capsys):
     assert main(cli_files, *argv(cli_files)) == EXIT_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"{prog}: "), err
+
+
+# --- casd's flags are its whole configuration -------------------------------------
+
+@pytest.fixture
+def serve_calls(monkeypatch):
+    """casd's main() runs up to serve(), which records its arguments instead."""
+    import casauth.casd.main as casd_main
+    calls = []
+    monkeypatch.setattr(casd_main, "serve",
+                        lambda *args, **kwargs: calls.append((args, kwargs)))
+    return calls
+
+
+def test_casd_flags_reach_serve(cli_files, serve_calls):
+    assert _casd(cli_files, "--listen", "127.0.0.1:9000", "--bootstrap-admin",
+                 "CN=root", "--max-lifetime", "7200") == EXIT_OK
+    [((db, endpoint, credential), options)] = serve_calls
+    assert isinstance(db, CommunityDB)
+    assert endpoint == ("127.0.0.1", 9000)
+    assert credential[0] == load_credential(cli_files["cred"])[0]
+    assert options == {"bootstrap_admin": "CN=root", "max_lifetime": 7200,
+                       "db_path": cli_files["tmp"] + "/community.db"}
+
+
+def test_casd_flag_defaults(cli_files, serve_calls):
+    assert _casd(cli_files) == EXIT_OK
+    [((_, endpoint, _), options)] = serve_calls
+    assert endpoint == ("127.0.0.1", 7512)
+    assert options["bootstrap_admin"] is None
+    assert options["max_lifetime"] == 43_200
+
+
+@pytest.mark.parametrize("flag, value", [("--config", "casd.conf"),
+                                         ("--max-lifetime", "soon"),
+                                         ("--max-lifetime", "-5")])
+def test_casd_bad_flag_is_a_usage_error(cli_files, serve_calls, capsys, flag, value):
+    capsys.readouterr()
+    assert _casd(cli_files, flag, value) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert serve_calls == []
+
+
+def test_console_scripts_resolve():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, _, function = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), function, None)), name

@@ -1,4 +1,4 @@
-"""Server configuration files, flag precedence, and credential files."""
+"""Endpoint flags and credential files."""
 
 import random
 
@@ -6,42 +6,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from casauth.casd.config import load_config, parse_config, split_endpoint
 from casauth.credential.certs import ValidityInterval, encode_chain
 from casauth.credential.issue import CertificateAuthority
 from casauth.credential.keys import DEFAULT_SCHEME
 from casauth.credfile import load_credential, save_credential
 from casauth.errors import CasError, IoError, ParseError
-
-
-def test_config_file_plus_overrides(tmp_path):
-    path = tmp_path / "casd.conf"
-    path.write_text(
-        "# community server\n"
-        "listen: 0.0.0.0:7512\n"
-        "db: /var/lib/cas/community.db\n"
-        "bootstrap-admin: CN=root\n"
-        "max-lifetime: 7200\n")
-    config = load_config(str(path), {"listen": "127.0.0.1:9000", "db": None,
-                                     "cred": "/etc/cas/cred"})
-    assert config.listen == "127.0.0.1:9000"      # flag wins
-    assert config.db == "/var/lib/cas/community.db"
-    assert config.cred == "/etc/cas/cred"
-    assert config.bootstrap_admin == "CN=root"
-    assert config.max_lifetime == 7200
-
-
-def test_defaults_without_file():
-    config = load_config(None, {})
-    assert config.max_lifetime == 43_200
-    assert config.bootstrap_admin is None
-
-
-def test_unknown_config_keys_rejected():
-    with pytest.raises(ParseError):
-        parse_config("listen: x\nshenanigans: y\n")
-    with pytest.raises(ParseError):
-        parse_config("listen: a\nlisten: b\n")
+from casauth.wire.frames import split_endpoint
 
 
 def test_split_endpoint():
@@ -82,11 +52,6 @@ def test_credential_file_without_key_line_rejected(tmp_path, ca, rng):
 def test_missing_credential_is_io_error(tmp_path):
     with pytest.raises(IoError):
         load_credential(tmp_path / "absent")
-
-
-def test_missing_config_is_io_error(tmp_path):
-    with pytest.raises(IoError):
-        load_config(str(tmp_path / "absent"), {})
 
 
 def _credential_lines() -> list[str]:

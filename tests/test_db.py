@@ -164,9 +164,11 @@ def test_save_flushes_the_snapshot_to_disk_before_the_rename(tmp_path, monkeypat
     monkeypatch.setattr(os, "fsync", recording_fsync)
     monkeypatch.setattr(os, "replace", recording_replace)
     save_db(populated_db(), path)
-    # The temp file is synced, then becomes the snapshot (a rename keeps the inode).
+    # The temp file is synced, then becomes the snapshot (a rename keeps the
+    # inode), then the directory holding the new name is synced.
     inode = path.stat().st_ino
-    assert events == [("fsync", inode), ("replace", inode)]
+    assert events == [("fsync", inode), ("replace", inode),
+                      ("fsync", tmp_path.stat().st_ino)]
     assert load_db(path) == populated_db()
 
 

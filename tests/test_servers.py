@@ -13,6 +13,7 @@ import casauth.resourced.server as resourced_server
 import casauth.wire.frames as wire_frames
 import casauth.wire.handshake as wire_handshake
 from casauth.casd.db import CommunityDB, load_db
+from casauth.casd.issuance import DEFAULT_MAX_LIFETIME
 from casauth.casd.server import CasServer
 from casauth.client.api import (
     acquire_capability,
@@ -400,6 +401,25 @@ def test_failure_outside_the_vocabulary_is_internal():
 def test_enroll_existing_user_is_duplicate_name(world):
     with pytest.raises(DuplicateName):
         world["admin"]("enroll-user", "alice", "CN=alice")
+
+
+@pytest.mark.parametrize("identity", ["CN=Ann  Example", "CN=Ann\tExample", " CN=Ann"])
+def test_enrolled_identity_keeps_its_whitespace(world, rng, identity):
+    cred = world["ca"].issue_credential(identity, WIDE, rng=rng)
+    world["admin"]("enroll-user", "ann", identity)
+    assert load_db(world["db_path"]).users["ann"].identity == identity
+    world["admin"]("grant", "user:ann", "resource:esg-data", "file", "read")
+    acquire(world, cred=cred)  # DENIED not-enrolled if the identity changed
+
+
+def test_capability_without_lifetime_gets_the_server_cap(world):
+    chain, key = world["alice"]
+    session_pk, _ = DEFAULT_SCHEME.generate()
+    assert "lifetime" not in capability_request_fields(ALL, session_pk)
+    capability, _ = acquire_capability(world["cas"].address, chain, key, ALL,
+                                       trust_store=world["store"], clock=world["clock"])
+    validity = capability.leaf.validity
+    assert validity.not_after - validity.not_before == DEFAULT_MAX_LIFETIME
 
 
 def test_unenroll_unknown_user_is_unknown_name(world):
