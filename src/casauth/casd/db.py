@@ -22,18 +22,16 @@ statements are out of id order is refused:
 Statement grantees are ``user:<name>`` or ``group:<user group>``; objects
 are ``resource:<name>``, ``rgroup:<resource group>``, or a literal
 ``pattern:<object pattern>``. The ``next-id`` line preserves the statement
-counter across revocations. Trust anchors are deliberately not part of the
-snapshot; they are loaded from the trust-store file and re-attached.
+counter across revocations. Trust anchors are not part of the snapshot:
+casd takes them from its trust-store file.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, field
 
-from ..errors import InvariantViolation, IoError, ParseError
-from ..lines import join_lines, read_file, split_lines
+from ..errors import InvariantViolation, ParseError
+from ..lines import join_lines, read_file, split_lines, write_file
 from ..policy.model import Action, ObjectPattern
 
 GRANTEE_USER = "user"
@@ -65,7 +63,6 @@ class PolicyStatement:
 
 @dataclass
 class CommunityDB:
-    trust_anchors: frozenset = frozenset()
     users: dict[str, UserEntry] = field(default_factory=dict)
     resources: dict[str, str] = field(default_factory=dict)
     user_groups: dict[str, set[str]] = field(default_factory=dict)
@@ -74,9 +71,8 @@ class CommunityDB:
     next_statement_id: int = 1
 
     def clone(self) -> "CommunityDB":
-        # statements are frozen and anchors immutable, so shallow copies suffice
+        # statements are frozen, so a shallow copy of their list suffices
         return CommunityDB(
-            trust_anchors=self.trust_anchors,
             users={k: UserEntry(v.identity, v.enrolled) for k, v in self.users.items()},
             resources=dict(self.resources),
             user_groups={k: set(v) for k, v in self.user_groups.items()},
@@ -212,8 +208,8 @@ def parse_tagged(token: str, kinds: tuple[str, ...],
     return kind, value
 
 
-def parse_db(data: bytes, trust_anchors=frozenset()) -> CommunityDB:
-    db = CommunityDB(trust_anchors=frozenset(trust_anchors))
+def parse_db(data: bytes) -> CommunityDB:
+    db = CommunityDB()
     section = None
     saw_next_id = False
     expected = list(_SECTIONS)
@@ -282,34 +278,9 @@ def parse_db(data: bytes, trust_anchors=frozenset()) -> CommunityDB:
 
 
 def save_db(db: CommunityDB, path) -> None:
-    """Write the snapshot durably and atomically.
-
-    The bytes go to a temp file beside it, which is flushed to disk before
-    it is renamed over the snapshot, so a crash leaves one whole snapshot.
-    The directory is flushed after the rename, so once this returns a power
-    loss cannot bring the old snapshot back.
-    """
-    data = serialize_db(db)
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(prefix=".casdb-", dir=directory)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-        dir_fd = os.open(directory, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-    except OSError as exc:
-        raise IoError(f"cannot write snapshot {path}: {exc}") from None
+    """Write the snapshot durably and atomically, readable by its owner only."""
+    write_file(path, serialize_db(db), "snapshot", 0o600)
 
 
-def load_db(path, trust_anchors=frozenset()) -> CommunityDB:
-    return parse_db(read_file(path, "snapshot"), trust_anchors)
+def load_db(path) -> CommunityDB:
+    return parse_db(read_file(path, "snapshot"))

@@ -7,21 +7,13 @@ import logging
 import os
 import sys
 
+from ..cli import EXIT_OK, nonnegative_int, run
 from ..credential.certs import load_trust_store
 from ..credfile import load_credential
-from ..errors import CasError
 from ..wire.frames import split_endpoint
 from .db import CommunityDB, load_db, save_db
 from .issuance import DEFAULT_MAX_LIFETIME
 from .server import serve
-
-
-def seconds(value: str) -> int:
-    """A whole, nonnegative number of seconds."""
-    if not (value.isascii() and value.isdigit()):
-        raise argparse.ArgumentTypeError(
-            f"expected a nonnegative whole number of seconds, got {value!r}")
-    return int(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,38 +24,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cred", required=True, help="server credential file")
     parser.add_argument("--trust", required=True, help="trust store file")
     parser.add_argument("--bootstrap-admin", help="identity that always passes admin checks")
-    parser.add_argument("--max-lifetime", type=seconds, default=DEFAULT_MAX_LIFETIME,
-                        help="capability lifetime cap in seconds")
+    parser.add_argument("--max-lifetime", type=nonnegative_int,
+                        default=DEFAULT_MAX_LIFETIME, help="capability lifetime cap in seconds")
     parser.add_argument("-v", "--verbose", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage error and 0 for --help
-        return 0 if exc.code == 0 else 5
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
-                        format="%(asctime)s %(name)s %(message)s")
-    try:
+    def body(args) -> int:
+        logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
+                            format="%(asctime)s %(name)s %(message)s")
         chain, leaf_key = load_credential(args.cred)
         anchors = load_trust_store(args.trust)
         if os.path.exists(args.db):
-            db = load_db(args.db, anchors)
+            db = load_db(args.db)
         else:
             # first boot: start from an empty community and create the snapshot
-            db = CommunityDB(trust_anchors=anchors)
+            db = CommunityDB()
             save_db(db, args.db)
-        serve(db, split_endpoint(args.listen), (chain, leaf_key),
+        serve(db, split_endpoint(args.listen), (chain, leaf_key), trust_store=anchors,
               bootstrap_admin=args.bootstrap_admin, max_lifetime=args.max_lifetime,
               db_path=args.db)
-    except KeyboardInterrupt:
-        return 0
-    except CasError as exc:
-        print(f"casd: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        return EXIT_OK
+
+    return run("casd", build_parser(), argv, body)
 
 
 if __name__ == "__main__":

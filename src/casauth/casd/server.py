@@ -49,12 +49,12 @@ class CasServer(AuthenticatedServer):
                                "expired"})
 
     def __init__(self, db: CommunityDB, chain: CertificateChain, leaf_key: Any,
-                 *, listen: tuple[str, int] = ("127.0.0.1", 0),
+                 *, trust_store, listen: tuple[str, int] = ("127.0.0.1", 0),
                  bootstrap_admin: str | None = None,
                  max_lifetime: int = DEFAULT_MAX_LIFETIME,
                  db_path: str | None = None,
                  clock: Callable[[], int] = system_clock):
-        super().__init__(chain, leaf_key, listen, clock)
+        super().__init__(chain, leaf_key, trust_store, listen, clock)
         self._db = db
         self._bootstrap_admin = bootstrap_admin
         self._db_path = db_path
@@ -67,7 +67,7 @@ class CasServer(AuthenticatedServer):
 
     def _handle_connection(self, sock: socket.socket) -> None:
         subject = server_handshake(sock, self._chain, self._leaf_key,
-                                   self._db.trust_anchors, self._ctx, self._clock())
+                                   self._trust_store, self._ctx, self._clock())
         serve_messages(sock, lambda message: self._reply(message, subject))
 
     def _dispatch(self, message: dict[str, str],
@@ -123,14 +123,14 @@ class CasServer(AuthenticatedServer):
 
 
 def serve(db: CommunityDB, listen_endpoint: tuple[str, int],
-          server_credential: tuple[CertificateChain, Any], *,
+          server_credential: tuple[CertificateChain, Any], *, trust_store,
           bootstrap_admin: str | None = None,
           max_lifetime: int = DEFAULT_MAX_LIFETIME,
           db_path: str | None = None) -> CasServer:
-    """Construct and start a server from loaded pieces; blocks forever."""
+    """Construct and start a server from loaded pieces; blocks until SIGINT."""
     chain, leaf_key = server_credential
-    server = CasServer(db, chain, leaf_key, listen=listen_endpoint,
-                       bootstrap_admin=bootstrap_admin,
+    server = CasServer(db, chain, leaf_key, trust_store=trust_store,
+                       listen=listen_endpoint, bootstrap_admin=bootstrap_admin,
                        max_lifetime=max_lifetime, db_path=db_path)
     server.start()
     server.serve_forever()

@@ -1,9 +1,4 @@
-"""Command-line tools: cas-keygen, cas-admin, cas-proxy-init, cas-file.
-
-Exit codes are a fixed function of the error taxonomy so scripts can
-branch on them: 0 ok, 2 denied, 3 authentication, 4 transport, 5 usage,
-1 anything else.
-"""
+"""Command-line tools: cas-keygen, cas-admin, cas-proxy-init, cas-file."""
 
 from __future__ import annotations
 
@@ -11,6 +6,7 @@ import argparse
 import os
 import sys
 
+from ..cli import EXIT_OK, nonnegative_int, run
 from ..clocks import system_clock
 from ..credential.certs import (
     CertificateChain,
@@ -20,47 +16,16 @@ from ..credential.certs import (
 )
 from ..credential.issue import CertificateAuthority
 from ..credfile import load_credential, save_credential
-from ..errors import CasError, Refused, TransportError
+from ..errors import TransportError
 from ..lines import read_file
 from ..policy.model import ALL
 from ..policy.text import parse_policy
 from ..wire.frames import split_endpoint
 from .api import acquire_capability, admin_command, file_op
 
-EXIT_OK = 0
-EXIT_ERROR = 1
-EXIT_DENIED = 2
-EXIT_AUTH = 3
-EXIT_TRANSPORT = 4
-EXIT_USAGE = 5
-
 PROXY_ENV = "CAS_PROXY"
 TRUST_ENV = "CAS_TRUST_STORE"
 DEFAULT_PROXY = "./cas-proxy"
-
-
-def exit_code_for(exc: CasError) -> int:
-    if isinstance(exc, Refused):
-        return EXIT_DENIED
-    if exc.reason in ("auth", "expired"):
-        return EXIT_AUTH
-    if isinstance(exc, TransportError):
-        return EXIT_TRANSPORT
-    return EXIT_ERROR
-
-
-def _run(prog, parser: argparse.ArgumentParser, argv, body) -> int:
-    """Parse args and translate errors into exit codes."""
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage error and 0 for --help
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    try:
-        return body(args)
-    except CasError as exc:
-        print(f"{prog}: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
 
 
 def _trust_path(value: str | None) -> str:
@@ -86,13 +51,13 @@ def main_keygen(argv=None) -> int:
     ca.add_argument("--name", required=True)
     ca.add_argument("--cred-out", required=True, help="CA credential file")
     ca.add_argument("--anchor-out", required=True, help="trust anchor file")
-    ca.add_argument("--days", type=int, default=3650)
+    ca.add_argument("--days", type=nonnegative_int, default=3650)
 
     issue = sub.add_parser("issue", help="issue an identity credential")
     issue.add_argument("--ca-cred", required=True, help="CA credential file")
     issue.add_argument("--subject", required=True)
     issue.add_argument("--cred-out", required=True)
-    issue.add_argument("--days", type=int, default=365)
+    issue.add_argument("--days", type=nonnegative_int, default=365)
 
     def body(args) -> int:
         now = system_clock()
@@ -115,7 +80,7 @@ def main_keygen(argv=None) -> int:
         print(f"issued identity {args.subject!r} into {args.cred_out}")
         return EXIT_OK
 
-    return _run("cas-keygen", parser, argv, body)
+    return run("cas-keygen", parser, argv, body)
 
 
 # --- cas-admin -------------------------------------------------------------------
@@ -140,7 +105,7 @@ def main_admin(argv=None) -> int:
             print("ok")
         return EXIT_OK
 
-    return _run("cas-admin", parser, argv, body)
+    return run("cas-admin", parser, argv, body)
 
 
 # --- cas-proxy-init ----------------------------------------------------------------
@@ -156,7 +121,7 @@ def main_proxy_init(argv=None) -> int:
     group.add_argument("--all", action="store_true",
                        help="request everything the community grants you")
     group.add_argument("--want", help="policy file naming the rights to request")
-    parser.add_argument("--lifetime", type=int,
+    parser.add_argument("--lifetime", type=nonnegative_int,
                         help="capability lifetime in seconds (default: the server's cap)")
     parser.add_argument("--out", help=f"proxy path (default ${PROXY_ENV} or {DEFAULT_PROXY})")
 
@@ -176,7 +141,7 @@ def main_proxy_init(argv=None) -> int:
         print(f"capability stored in {out}, valid until {leaf.validity.not_after}")
         return EXIT_OK
 
-    return _run("cas-proxy-init", parser, argv, body)
+    return run("cas-proxy-init", parser, argv, body)
 
 
 # --- cas-file ------------------------------------------------------------------------
@@ -210,7 +175,7 @@ def main_file(argv=None) -> int:
                 print(name)
         return EXIT_OK
 
-    return _run("cas-file", parser, argv, body)
+    return run("cas-file", parser, argv, body)
 
 
 if __name__ == "__main__":

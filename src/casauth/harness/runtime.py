@@ -77,9 +77,9 @@ class Deployment:
         authority = self.authorities[ca_name]
         chain, leaf_key = authority.issue_credential(identity, CERT_VALIDITY,
                                                      rng=self._rng)
-        db = CommunityDB(trust_anchors=frozenset({authority.certificate}))
         server = CasServer(
-            db, chain, leaf_key,
+            CommunityDB(), chain, leaf_key,
+            trust_store=frozenset({authority.certificate}),
             bootstrap_admin=bootstrap_admin, max_lifetime=max_lifetime,
             db_path=str(Path(self._tmp.name) / f"{name}.db"),
             clock=self.clock).start()

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..cli import nonnegative_int
 from ..client.api import acquire_capability, admin_command, file_op
 from ..errors import CasError, ParseError, Refused
 from ..policy.model import ALL
@@ -108,6 +109,14 @@ def _options(args, index: int) -> dict[str, str]:
     return options
 
 
+def _seconds(step: ScenarioStep, what: str, value: str) -> int:
+    try:
+        return nonnegative_int(value)
+    except ValueError:
+        raise ScenarioError(step.index, f"{what} takes a nonnegative whole number "
+                                        f"of seconds, got {value!r}") from None
+
+
 def _outcome_of(exc: CasError) -> tuple[str, ...]:
     return ("deny",) if isinstance(exc, Refused) else ("error", exc.reason)
 
@@ -142,7 +151,8 @@ class _Runner:
             raise ScenarioError(step.index, f"unknown CA {ca!r}")
         server_options = {}
         if "max-lifetime" in options:
-            server_options["max_lifetime"] = int(options["max-lifetime"])
+            server_options["max_lifetime"] = _seconds(step, "max-lifetime",
+                                                      options["max-lifetime"])
         self.deployment.spawn_cas(
             name, ca, options.get("identity", f"cas.{name}"),
             bootstrap_admin=options.get("bootstrap-admin", DEFAULT_BOOTSTRAP_ADMIN),
@@ -216,7 +226,7 @@ class _Runner:
             raise ScenarioError(step.index, "acquire needs user=<name>")
         identity = options.get("identity", f"CN={user}")
         chain, key = self.deployment.user_credential(user, identity, spawned.ca_name)
-        lifetime = int(options.get("lifetime", "3600"))
+        lifetime = _seconds(step, "lifetime", options.get("lifetime", "3600"))
 
         def action():
             capability = acquire_capability(
@@ -254,7 +264,7 @@ class _Runner:
     def _step_advance_clock(self, step: ScenarioStep) -> None:
         if len(step.args) != 1:
             raise ScenarioError(step.index, "advance-clock takes seconds")
-        self.deployment.clock.advance(int(step.args[0]))
+        self.deployment.clock.advance(_seconds(step, "advance-clock", step.args[0]))
 
     # --- assertions -------------------------------------------------------------
 

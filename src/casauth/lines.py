@@ -85,10 +85,31 @@ def read_text(path, what: str) -> str:
 
 
 def write_file(path, data: bytes, what: str, mode: int = 0o666) -> None:
-    """Replace the file's contents; a file created here gets ``mode``."""
+    """Replace the file durably and atomically with a new one of ``mode``.
+
+    The bytes go to a new temp file beside it, created with ``mode``, which
+    is flushed to disk before it is renamed over the target, so a crash
+    leaves one whole file, and an existing file's looser permissions never
+    reach the new contents. The directory is flushed after the rename, so
+    once this returns a power loss cannot bring the old file back.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}")
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, mode)
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     except OSError as exc:
         raise IoError(f"cannot write {what} {path}: {exc}") from None

@@ -11,6 +11,7 @@ import logging
 import signal
 import sys
 
+from ..cli import EXIT_OK, run
 from ..credential.certs import load_trust_store
 from ..credfile import load_credential
 from ..errors import CasError
@@ -32,10 +33,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
-                        format="%(asctime)s %(name)s %(message)s")
-    try:
+    def body(args) -> int:
+        logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
+                            format="%(asctime)s %(name)s %(message)s")
         chain, leaf_key = load_credential(args.cred)
         anchors = load_trust_store(args.trust)
         table = load_grant_table(args.grants)
@@ -54,12 +54,9 @@ def main(argv=None) -> int:
         signal.signal(signal.SIGHUP, reload_grants)
         server.start()
         server.serve_forever()
-    except KeyboardInterrupt:
-        return 0
-    except CasError as exc:
-        print(f"cas-resourced: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        return EXIT_OK
+
+    return run("cas-resourced", build_parser(), argv, body)
 
 
 if __name__ == "__main__":

@@ -42,13 +42,11 @@ class ResourceServer(AuthenticatedServer):
 
     def __init__(self, table: LocalGrantTable, root: Path | str,
                  chain: CertificateChain, leaf_key: Any,
-                 *, listen: tuple[str, int] = ("127.0.0.1", 0),
-                 trust_store=None,
+                 *, trust_store, listen: tuple[str, int] = ("127.0.0.1", 0),
                  clock: Callable[[], int] = system_clock):
-        super().__init__(chain, leaf_key, listen, clock)
+        super().__init__(chain, leaf_key, trust_store, listen, clock)
         self._table = dict(table)
         self._root = VirtualRoot(Path(root))
-        self._trust_store = tuple(trust_store or ())
         self._registry = ServiceRegistry()
         self._evaluators = EvaluatorRegistry()
 

@@ -8,6 +8,7 @@ defines for it. A subclass supplies ``_handle_connection(sock)``, which
 runs the handshake (a CasError escaping it is logged as a rejected
 handshake) and then serves messages through ``_reply``, and
 ``_dispatch(message, subject)``, which answers one authenticated message.
+Peers' chains are verified against the ``trust_store`` the server is given.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ class AuthenticatedServer:
     # fault: ``internal``.
     error_reasons: frozenset[str]
 
-    def __init__(self, chain: CertificateChain, leaf_key: Any,
+    def __init__(self, chain: CertificateChain, leaf_key: Any, trust_store,
                  listen: tuple[str, int], clock: Callable[[], int]):
         self._chain = chain
         self._leaf_key = leaf_key
+        self._trust_store = tuple(trust_store)
         self._listen = listen
         self._clock = clock
         self._ctx = EnforcementContext(True, frozenset({LANGUAGE}))
@@ -81,10 +83,14 @@ class AuthenticatedServer:
         return self
 
     def serve_forever(self) -> None:
+        """Serve until SIGINT, the signal that stops a server, interrupts the wait."""
         if self._tcp is None:
             self.start()
         assert self._thread is not None
-        self._thread.join()
+        try:
+            self._thread.join()
+        except KeyboardInterrupt:
+            pass
 
     def shutdown(self) -> None:
         if self._tcp is not None:

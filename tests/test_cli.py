@@ -13,7 +13,7 @@ import pytest
 import casauth
 from casauth.casd.db import CommunityDB
 from casauth.casd.server import CasServer
-from casauth.client.cli import (
+from casauth.cli import (
     EXIT_AUTH,
     EXIT_DENIED,
     EXIT_ERROR,
@@ -21,11 +21,8 @@ from casauth.client.cli import (
     EXIT_TRANSPORT,
     EXIT_USAGE,
     exit_code_for,
-    main_admin,
-    main_file,
-    main_keygen,
-    main_proxy_init,
 )
+from casauth.client.cli import main_admin, main_file, main_keygen, main_proxy_init
 from casauth.credential.certs import load_trust_store, save_trust_store
 from casauth.credential.verify import EnforcementContext, verify_chain
 from casauth.credfile import load_credential
@@ -60,7 +57,7 @@ def cli_world(tmp_path):
 
     anchors = load_trust_store(anchor)
     cas_chain, cas_key = load_credential(paths["cas"])
-    cas = CasServer(CommunityDB(trust_anchors=anchors), cas_chain, cas_key,
+    cas = CasServer(CommunityDB(), cas_chain, cas_key, trust_store=anchors,
                     bootstrap_admin="CN=admin",
                     db_path=str(tmp_path / "community.db")).start()
 
@@ -159,6 +156,26 @@ def test_usage_errors_exit_5(cli_world):
     assert main_proxy_init(["--cas", cli_world["cas"]]) == EXIT_USAGE
 
 
+CLIENT_NUMBER_FLAGS = {
+    "proxy-init-lifetime": (main_proxy_init, "--lifetime", lambda d: [
+        "--cas", "127.0.0.1:1", "--cred", d + "/absent", "--all", "--out", d + "/p"]),
+    "keygen-ca-days": (main_keygen, "--days", lambda d: [
+        "ca", "--name", "A", "--cred-out", d + "/c", "--anchor-out", d + "/a"]),
+    "keygen-issue-days": (main_keygen, "--days", lambda d: [
+        "issue", "--ca-cred", d + "/absent", "--subject", "CN=x", "--cred-out", d + "/o"]),
+}
+
+
+@pytest.mark.parametrize("value", ["-5", "soon", "1.5"])
+@pytest.mark.parametrize("case", sorted(CLIENT_NUMBER_FLAGS))
+def test_client_bad_number_is_a_usage_error(case, value, tmp_path, capsys):
+    main, flag, argv = CLIENT_NUMBER_FLAGS[case]
+    capsys.readouterr()
+    assert main([*argv(str(tmp_path)), flag, value]) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_file_exits_generic_error(cli_world, tmp_path):
     seed_alice(cli_world)
     proxy = tmp_path / "cas-proxy"
@@ -207,8 +224,7 @@ def test_casd_main_requires_core_paths(capsys):
 def test_resourced_main_requires_flags():
     from casauth.resourced.main import main as resourced_main
 
-    with pytest.raises(SystemExit):
-        resourced_main([])
+    assert resourced_main([]) == EXIT_USAGE
 
 
 def test_missing_trust_store_is_an_error_not_a_crash(cli_world, tmp_path, capsys):
@@ -301,6 +317,7 @@ def _client(main):
     return lambda f, *argv: main(["--trust", f["trust"], *argv])
 
 
+# Each case exits EXIT_ERROR unless it names another code after its arguments.
 CLI_FAILURES = {
     "admin-bad-endpoint": ("cas-admin", _client(main_admin), lambda f: [
         "--cas", "host:notaport", "--cred", f["cred"], "enroll-user", "a", "CN=a"]),
@@ -317,17 +334,18 @@ CLI_FAILURES = {
         "--resource", "127.0.0.1:1", "--proxy", f["cred"],
         "--input", f["tmp"] + "/absent", "write", "/x"]),
     "scenario-not-utf8": ("cas-scenario", _scenario, lambda f: ["run", f["not_utf8"]]),
-    "casd-port-in-use": ("casd", _casd, lambda f: ["--listen", f["busy"]]),
+    "casd-port-in-use": ("casd", _casd, lambda f: ["--listen", f["busy"]],
+                         EXIT_TRANSPORT),
     "resourced-port-in-use": ("cas-resourced", _resourced, lambda f: [
-        "--listen", f["busy"]]),
+        "--listen", f["busy"]], EXIT_TRANSPORT),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CLI_FAILURES))
 def test_command_failure_is_one_line_not_a_traceback(case, cli_files, capsys):
-    prog, main, argv = CLI_FAILURES[case]
+    prog, main, argv, *code = CLI_FAILURES[case]
     capsys.readouterr()
-    assert main(cli_files, *argv(cli_files)) == EXIT_ERROR
+    assert main(cli_files, *argv(cli_files)) == (code[0] if code else EXIT_ERROR)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"{prog}: "), err
 
@@ -351,7 +369,8 @@ def test_casd_flags_reach_serve(cli_files, serve_calls):
     assert isinstance(db, CommunityDB)
     assert endpoint == ("127.0.0.1", 9000)
     assert credential[0] == load_credential(cli_files["cred"])[0]
-    assert options == {"bootstrap_admin": "CN=root", "max_lifetime": 7200,
+    assert options == {"trust_store": load_trust_store(cli_files["trust"]),
+                       "bootstrap_admin": "CN=root", "max_lifetime": 7200,
                        "db_path": cli_files["tmp"] + "/community.db"}
 
 
@@ -381,3 +400,16 @@ def test_console_scripts_resolve():
     for name, target in scripts.items():
         module, _, function = target.partition(":")
         assert callable(getattr(importlib.import_module(module), function, None)), name
+
+
+@pytest.mark.parametrize("argv, code", [(["--no-such-flag"], EXIT_USAGE),
+                                        (["--help"], EXIT_OK)], ids=["bad-flag", "help"])
+def test_every_console_script_returns_its_exit_code(argv, code, capsys):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert len(scripts) == 7
+    for name, target in scripts.items():
+        module, _, function = target.partition(":")
+        main = getattr(importlib.import_module(module), function)
+        assert main(list(argv)) == code, name

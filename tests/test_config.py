@@ -27,15 +27,17 @@ def test_split_endpoint():
 def test_credential_file_round_trip(tmp_path, ca, rng):
     chain, key = ca.issue_credential("CN=alice", ValidityInterval(0, 10**9),
                                      rng=rng)
-    path = tmp_path / "alice.cred"
-    save_credential(path, chain, key)
-    assert (path.stat().st_mode & 0o777) == 0o600
-    loaded_chain, loaded_key = load_credential(path)
-    assert loaded_chain == chain
-    from casauth.credential.keys import DEFAULT_SCHEME
-
-    assert DEFAULT_SCHEME.private_bytes(loaded_key) == \
-        DEFAULT_SCHEME.private_bytes(key)
+    # a key written over a readable file must not stay readable
+    readable = tmp_path / "readable.cred"
+    readable.write_bytes(b"old\n")
+    readable.chmod(0o644)
+    for path in (tmp_path / "alice.cred", readable):
+        save_credential(path, chain, key)
+        assert (path.stat().st_mode & 0o777) == 0o600
+        loaded_chain, loaded_key = load_credential(path)
+        assert loaded_chain == chain
+        assert DEFAULT_SCHEME.private_bytes(loaded_key) == \
+            DEFAULT_SCHEME.private_bytes(key)
 
 
 def test_credential_file_without_key_line_rejected(tmp_path, ca, rng):

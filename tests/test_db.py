@@ -172,16 +172,6 @@ def test_save_flushes_the_snapshot_to_disk_before_the_rename(tmp_path, monkeypat
     assert load_db(path) == populated_db()
 
 
-def test_trust_anchors_reattached_on_load(tmp_path, ca):
-    anchors = frozenset({ca.certificate})
-    db = populated_db()
-    db.trust_anchors = anchors
-    path = tmp_path / "db"
-    save_db(db, path)
-    assert load_db(path, anchors) == db
-    assert load_db(path).trust_anchors == frozenset()
-
-
 # --- properties of the snapshot text ----------------------------------------------
 
 # Identities are free text apart from the linefeed: spaces, colons, brackets.

@@ -62,6 +62,21 @@ def test_parse_skips_comments_and_blanks():
     assert steps[0].verb == "spawn-ca"
 
 
+@pytest.mark.parametrize("script, index, text", [
+    ("step advance-clock soon\n", 0, "'soon'"),
+    ("step advance-clock -5\n", 0, "'-5'"),
+    ("step spawn-ca alpha\nstep spawn-cas esg ca=alpha max-lifetime=-5\n", 1,
+     "max-lifetime"),
+    ("step spawn-ca alpha\nstep spawn-cas esg ca=alpha\n"
+     "step acquire c cas=esg user=alice lifetime=1h\n", 2, "lifetime"),
+])
+def test_bad_numbers_name_the_step(script, index, text):
+    with pytest.raises(ScenarioError) as info:
+        run_scenario(parse_script(script))
+    assert info.value.step_index == index
+    assert text in str(info.value)
+
+
 def test_reference_errors_name_the_step():
     steps = parse_script("step spawn-ca alpha\nstep admin ghost enroll-user x CN=x\n")
     with pytest.raises(ScenarioError) as info:
@@ -150,6 +165,15 @@ def test_scenario_cli_run_and_edges(capsys):
     assert main(["run", "rogue-cas"]) == 0
     out = capsys.readouterr().out
     assert "2/2 assertions passed" in out
+
+
+@pytest.mark.parametrize("consumers, producers, flag", [("-1", "4", "--consumers"),
+                                                        ("5", "four", "--producers")])
+def test_scenario_cli_bad_count_is_a_usage_error(consumers, producers, flag, capsys):
+    from casauth.harness.cli import main
+
+    assert main(["edges", "--consumers", consumers, "--producers", producers]) == 5
+    assert flag in capsys.readouterr().err
 
 
 def test_scenario_cli_reports_failures(tmp_path, capsys):

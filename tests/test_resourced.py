@@ -186,7 +186,7 @@ def esg_server(tmp_path_factory):
     for name, data in (("esg/a", b"ESG"), ("secret/b", b"SECRET")):
         (root / name).parent.mkdir(exist_ok=True)
         (root / name).write_bytes(data)
-    return ResourceServer(ESG_TABLE, root, None, None, clock=lambda: 1000)
+    return ResourceServer(ESG_TABLE, root, None, None, trust_store=(), clock=lambda: 1000)
 
 
 def file_reply(server, action, path):

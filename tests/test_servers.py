@@ -65,7 +65,7 @@ def world(rng, tmp_path):
 
     cas_chain, cas_key = ca.issue_credential("cas.esg", WIDE, rng=rng)
     db_path = tmp_path / "community.db"
-    cas = CasServer(CommunityDB(trust_anchors=store), cas_chain, cas_key,
+    cas = CasServer(CommunityDB(), cas_chain, cas_key, trust_store=store,
                     bootstrap_admin=BOOTSTRAP, db_path=str(db_path),
                     clock=clock).start()
 
@@ -183,11 +183,11 @@ def test_non_admin_user_denied_admin(world):
 
 
 def test_mutations_persisted_after_each_command(world):
-    db = load_db(world["db_path"], world["store"])
+    db = load_db(world["db_path"])
     assert "alice" in db.users
     assert any(s.grantee == "alice" for s in db.statements)
     world["admin"]("enroll-user", "bob", "CN=bob")
-    db = load_db(world["db_path"], world["store"])
+    db = load_db(world["db_path"])
     assert "bob" in db.users
 
 
@@ -241,12 +241,12 @@ def test_malformed_frame_gets_error_parse(world):
 def test_failed_handshake_means_no_state_change(world, rng):
     other = CertificateAuthority.create("MalloryCA", WIDE, rng=rng)
     mallory = other.issue_credential("CN=mallory", WIDE, rng=rng)
-    before = load_db(world["db_path"], world["store"])
+    before = load_db(world["db_path"])
     with pytest.raises(Exception):
         admin_command(world["cas"].address, mallory[0], mallory[1],
                       "enroll-user", ("m", "CN=m"),
                       trust_store=world["store"], clock=world["clock"])
-    assert load_db(world["db_path"], world["store"]) == before
+    assert load_db(world["db_path"]) == before
 
 
 def test_unknown_message_type_is_bad_request(world):
@@ -301,7 +301,7 @@ def test_concurrent_admin_mutations_all_land(world):
     for t in threads:
         t.join()
     assert not errors
-    db = load_db(world["db_path"], world["store"])
+    db = load_db(world["db_path"])
     assert all(f"user{i}" in db.users for i in range(8))
 
 
@@ -522,8 +522,8 @@ def test_restarted_casd_issues_new_serial_and_proxy_group(world):
     old = world["cas"]
     old.shutdown()
     reset_serial_counters()  # what a new process would start from
-    cas = CasServer(load_db(world["db_path"], world["store"]), old._chain,
-                    old._leaf_key, db_path=str(world["db_path"]),
+    cas = CasServer(load_db(world["db_path"]), old._chain, old._leaf_key,
+                    trust_store=world["store"], db_path=str(world["db_path"]),
                     clock=world["clock"]).start()
     try:
         chain, key = world["alice"]
