@@ -49,10 +49,10 @@ class CasServer(AuthenticatedServer):
                                "expired"})
 
     def __init__(self, db: CommunityDB, chain: CertificateChain, leaf_key: Any,
-                 *, trust_store, listen: tuple[str, int] = ("127.0.0.1", 0),
+                 *, trust_store, db_path: str,
+                 listen: tuple[str, int] = ("127.0.0.1", 0),
                  bootstrap_admin: str | None = None,
                  max_lifetime: int = DEFAULT_MAX_LIFETIME,
-                 db_path: str | None = None,
                  clock: Callable[[], int] = system_clock):
         super().__init__(chain, leaf_key, trust_store, listen, clock)
         self._db = db
@@ -97,8 +97,7 @@ class CasServer(AuthenticatedServer):
         with self._write_lock:
             granted_id = self._db.next_statement_id if cmd.verb == "grant" else None
             new_db = apply_admin(self._db, subject.identity, cmd, self._bootstrap_admin)
-            if self._db_path is not None:
-                save_db(new_db, self._db_path)
+            save_db(new_db, self._db_path)
             self._db = new_db
         reply = {"msg": "OK"}
         if granted_id is not None:
@@ -124,9 +123,8 @@ class CasServer(AuthenticatedServer):
 
 def serve(db: CommunityDB, listen_endpoint: tuple[str, int],
           server_credential: tuple[CertificateChain, Any], *, trust_store,
-          bootstrap_admin: str | None = None,
-          max_lifetime: int = DEFAULT_MAX_LIFETIME,
-          db_path: str | None = None) -> CasServer:
+          db_path: str, bootstrap_admin: str | None = None,
+          max_lifetime: int = DEFAULT_MAX_LIFETIME) -> CasServer:
     """Construct and start a server from loaded pieces; blocks until SIGINT."""
     chain, leaf_key = server_credential
     server = CasServer(db, chain, leaf_key, trust_store=trust_store,

@@ -7,7 +7,6 @@ from typing import Any, Callable
 
 from ..clocks import system_clock
 from ..credential.certs import CertificateChain
-from ..credential.verify import EnforcementContext, VerifiedSubject
 from ..errors import TransportError
 from ..wire.frames import read_message, send_message
 from ..wire.handshake import client_handshake
@@ -31,7 +30,6 @@ class ClientSession:
         self._trust_store = tuple(trust_store)
         self._clock = clock
         self._sock: socket.socket | None = None
-        self.peer: VerifiedSubject | None = None
 
     def connect(self) -> "ClientSession":
         try:
@@ -40,9 +38,8 @@ class ClientSession:
         except OSError as exc:
             raise TransportError(f"cannot connect to {self._endpoint}: {exc}") from None
         try:
-            self.peer = client_handshake(self._sock, self._chain, self._leaf_key,
-                                         self._trust_store, self._clock(),
-                                         EnforcementContext())
+            client_handshake(self._sock, self._chain, self._leaf_key,
+                             self._trust_store, self._clock())
         except BaseException:
             self.close()
             raise

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import os
 
-from .errors import DuplicateField, IoError, ParseError
+from .errors import DuplicateField, IoError, IsDirectory, ParseError
 
 SEPARATOR = "----"
+# Every temp file write_file makes is named with this prefix, and no object
+# name may contain a segment that starts with it.
+TEMP_PREFIX = ".casauth-tmp."
 
 
 def split_lines(data: bytes) -> list[str]:
@@ -87,14 +90,15 @@ def read_text(path, what: str) -> str:
 def write_file(path, data: bytes, what: str, mode: int = 0o666) -> None:
     """Replace the file durably and atomically with a new one of ``mode``.
 
-    The bytes go to a new temp file beside it, created with ``mode``, which
-    is flushed to disk before it is renamed over the target, so a crash
-    leaves one whole file, and an existing file's looser permissions never
-    reach the new contents. The directory is flushed after the rename, so
-    once this returns a power loss cannot bring the old file back.
+    The bytes go to a new temp file beside it, named with TEMP_PREFIX and
+    created with ``mode``, which is flushed to disk before it is renamed over
+    the target, so a crash leaves one whole file, and an existing file's
+    looser permissions never reach the new contents. The directory is flushed
+    after the rename, so once this returns a power loss cannot bring the old
+    file back. A directory at ``path`` raises IsDirectory.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}")
+    tmp = os.path.join(directory, TEMP_PREFIX + os.urandom(8).hex())
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
         try:
@@ -112,4 +116,5 @@ def write_file(path, data: bytes, what: str, mode: int = 0o666) -> None:
         finally:
             os.close(dir_fd)
     except OSError as exc:
-        raise IoError(f"cannot write {what} {path}: {exc}") from None
+        error = IsDirectory if isinstance(exc, IsADirectoryError) else IoError
+        raise error(f"cannot write {what} {path}: {exc}") from None

@@ -35,10 +35,8 @@ LocalGrantTable = Mapping[str, PolicyDocument]
 
 def authorize(table: LocalGrantTable, subject: VerifiedSubject,
               registry: ServiceRegistry, req: Request,
-              evaluators: EvaluatorRegistry | None = None) -> Decision:
+              evaluators: EvaluatorRegistry) -> Decision:
     """Local policy for the grantor AND capability policy for the bearer."""
-    if evaluators is None:
-        evaluators = EvaluatorRegistry()
     if not registry.allows(req.service_type, req.action_name):
         return Decision.DENY
     local = table.get(subject.identity)

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import IoError, IsDirectory, NotDirectory, NotFound, PathEscape
+from ..lines import TEMP_PREFIX, write_file
 from ..policy.model import Request
 
 
@@ -15,8 +14,10 @@ def canonical_name(object_path: str) -> str:
     """The object name with dot segments removed (RFC 3986 section 5.2.4).
 
     Empty and "." segments drop and ".." pops, so "/a/./b//c/../d/" is
-    "/a/b/d". A relative name, or one that pops past the root, raises
-    PathEscape. The resource authorizes and stores under this one name.
+    "/a/b/d". A relative name, one that pops past the root, or one with a
+    segment that starts with TEMP_PREFIX, the prefix of the temp files that
+    writes rename over their names, raises PathEscape. The resource
+    authorizes and stores under this one name.
     """
     if not object_path.startswith("/"):
         raise PathEscape(f"object names are absolute, got {object_path!r}")
@@ -28,6 +29,8 @@ def canonical_name(object_path: str) -> str:
             if not parts:
                 raise PathEscape(f"{object_path!r} climbs out of the root")
             parts.pop()
+        elif segment.startswith(TEMP_PREFIX):
+            raise PathEscape(f"{object_path!r} names a temp file")
         else:
             parts.append(segment)
     return "/" + "/".join(parts)
@@ -59,26 +62,17 @@ def _read(path: Path) -> bytes:
 
 
 def _write(path: Path, payload: bytes) -> None:
-    # temp-then-rename so a crashed or concurrent write is never half-visible
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except IsADirectoryError:
-        raise IsDirectory(str(path.name)) from None
     except OSError as exc:
         raise IoError(str(exc)) from None
+    write_file(path, payload, "object", 0o600)
 
 
 def _list(path: Path) -> list[str]:
     try:
-        return sorted(p.name for p in path.iterdir())
+        return sorted(p.name for p in path.iterdir()
+                      if not p.name.startswith(TEMP_PREFIX))
     except FileNotFoundError:
         raise NotFound(str(path.name)) from None
     except NotADirectoryError:
@@ -92,7 +86,7 @@ def handle_file_op(root: VirtualRoot, req: Request,
     """Execute an already-authorized file request.
 
     read returns bytes, list returns sorted child names, write stores the
-    payload atomically and returns None.
+    payload durably and atomically, as a file of mode 0600, and returns None.
     """
     path = root.resolve(req.object)
     if req.action_name == "read":

@@ -18,6 +18,8 @@ from casauth.casd.db import (
     validate_db,
 )
 from casauth.errors import CasError, InvariantViolation, IoError, ParseError
+from casauth.policy.model import Request
+from casauth.resourced.storage import VirtualRoot, handle_file_op
 
 from genutils import random_db
 
@@ -148,7 +150,22 @@ def test_load_missing_file_is_io_error(tmp_path):
         load_db(tmp_path / "absent")
 
 
-def test_save_flushes_the_snapshot_to_disk_before_the_rename(tmp_path, monkeypatch):
+def save_snapshot(path):
+    save_db(populated_db(), path)
+    assert load_db(path) == populated_db()
+
+
+def write_object(path):
+    handle_file_op(VirtualRoot(path.parent), Request("file", "write", "/" + path.name),
+                   b"object")
+    assert path.read_bytes() == b"object"
+
+
+# Every file casauth replaces goes through one writer, resource objects too.
+@pytest.mark.parametrize("write", [save_snapshot, write_object],
+                         ids=["save_db", "storage"])
+def test_save_flushes_the_snapshot_to_disk_before_the_rename(tmp_path, monkeypatch,
+                                                            write):
     path = tmp_path / "community.db"
     events = []
     fsync, replace = os.fsync, os.replace
@@ -163,13 +180,12 @@ def test_save_flushes_the_snapshot_to_disk_before_the_rename(tmp_path, monkeypat
 
     monkeypatch.setattr(os, "fsync", recording_fsync)
     monkeypatch.setattr(os, "replace", recording_replace)
-    save_db(populated_db(), path)
-    # The temp file is synced, then becomes the snapshot (a rename keeps the
+    write(path)
+    # The temp file is synced, then becomes the file (a rename keeps the
     # inode), then the directory holding the new name is synced.
     inode = path.stat().st_ino
     assert events == [("fsync", inode), ("replace", inode),
                       ("fsync", tmp_path.stat().st_ino)]
-    assert load_db(path) == populated_db()
 
 
 # --- properties of the snapshot text ----------------------------------------------

@@ -1,6 +1,8 @@
 """Two-sided enforcement at the resource, and the virtual filesystem."""
 
+import os
 import random
+import stat
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from casauth.errors import (
     ParseError,
     PathEscape,
 )
+from casauth.lines import TEMP_PREFIX
 from casauth.policy.engine import EvaluatorRegistry
 from casauth.policy.model import (
     Action,
@@ -149,6 +152,30 @@ def test_list_sorted_and_type_errors(tmp_path):
         handle_file_op(root, Request("file", "list", "/d/a"))
     with pytest.raises(IsDirectory):
         handle_file_op(root, Request("file", "read", "/d"))
+    with pytest.raises(IsDirectory):
+        handle_file_op(root, Request("file", "write", "/d"), b"3")
+    assert stat.S_IMODE((tmp_path / "d" / "a").stat().st_mode) == 0o600
+
+
+def test_no_temp_file_is_reachable(tmp_path, monkeypatch):
+    root = VirtualRoot(tmp_path)
+    handle_file_op(root, Request("file", "write", "/d/a"), b"committed")
+    seen = []
+    replace = os.replace
+
+    def look_then_replace(src, dst):
+        # The temp file is whole and not yet renamed over /d/b.
+        for name in handle_file_op(root, Request("file", "list", "/d")):
+            read = Request("file", "read", "/d/" + name)
+            seen.append((name, handle_file_op(root, read)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", look_then_replace)
+    handle_file_op(root, Request("file", "write", "/d/b"), b"pending")
+    assert seen == [("a", b"committed")]
+    assert handle_file_op(root, Request("file", "list", "/d")) == ["a", "b"]
+    with pytest.raises(PathEscape):
+        canonical_name("/d/" + TEMP_PREFIX + "x")
 
 
 def test_traversal_rejected_before_filesystem_access(tmp_path):
