@@ -37,40 +37,23 @@ def reset_serial_counters() -> None:
     """
 
 
-def _signed(cert: Certificate, signer_key: Any) -> Certificate:
-    return replace(cert, signature=DEFAULT_SCHEME.sign(signer_key, certificate_body(cert)))
-
-
-def make_trust_anchor(name: str, public_key: bytes, private_key: Any,
-                      validity: ValidityInterval) -> Certificate:
-    """Self-signed root certificate placed in trust stores."""
+def _issue(kind: str, subject: str, issuer: str, subject_pk: bytes,
+           validity: ValidityInterval, signer_key: Any,
+           restriction: RestrictionPolicy | None = None,
+           proxy_group: str | None = None) -> Certificate:
+    """A certificate of ``kind`` with a random serial, signed by ``signer_key``."""
     if validity.is_empty:
         raise InvalidInterval(f"empty validity [{validity.not_before}, {validity.not_after}]")
-    cert = Certificate(
-        serial=_random_serial(),
-        subject_name=name,
-        issuer_name=name,
-        subject_public_key=public_key,
-        validity=validity,
-        kind=KIND_TRUST_ANCHOR,
-    )
-    return _signed(cert, private_key)
+    cert = Certificate(_random_serial(), subject, issuer, subject_pk, validity,
+                       kind, restriction, proxy_group)
+    return replace(cert, signature=DEFAULT_SCHEME.sign(signer_key, certificate_body(cert)))
 
 
 def issue_identity(ca_name: str, ca_private_key: Any, subject_name: str,
                    subject_pk: bytes, validity: ValidityInterval) -> Certificate:
     """Issue a long-term identity certificate signed by the CA key."""
-    if validity.is_empty:
-        raise InvalidInterval(f"empty validity [{validity.not_before}, {validity.not_after}]")
-    cert = Certificate(
-        serial=_random_serial(),
-        subject_name=subject_name,
-        issuer_name=ca_name,
-        subject_public_key=subject_pk,
-        validity=validity,
-        kind=KIND_IDENTITY,
-    )
-    return _signed(cert, ca_private_key)
+    return _issue(KIND_IDENTITY, subject_name, ca_name, subject_pk, validity,
+                  ca_private_key)
 
 
 def check_chain_structure(chain: CertificateChain) -> None:
@@ -114,8 +97,6 @@ def delegate(issuer_chain: CertificateChain, issuer_leaf_private_key: Any,
     half; the proxy carries the grantor's identity, optionally narrowed by
     a critical restriction policy and labelled with a proxy group.
     """
-    if validity.is_empty:
-        raise InvalidInterval(f"empty validity [{validity.not_before}, {validity.not_after}]")
     check_chain_structure(issuer_chain)
     try:
         check_chain_linkage(issuer_chain)
@@ -123,19 +104,10 @@ def delegate(issuer_chain: CertificateChain, issuer_leaf_private_key: Any,
         raise MalformedChain(str(exc)) from None
 
     identity = issuer_chain.certs[0].subject_name
-    proxy = Certificate(
-        serial=_random_serial(),
-        subject_name=identity,
-        issuer_name=identity,
-        subject_public_key=subject_pk,
-        validity=validity,
-        kind=KIND_PROXY,
-        restriction=restriction,
-        proxy_group=proxy_group,
-    )
-    proxy = _signed(proxy, issuer_leaf_private_key)
+    proxy = _issue(KIND_PROXY, identity, identity, subject_pk, validity,
+                   issuer_leaf_private_key, restriction, proxy_group)
     if not DEFAULT_SCHEME.verify(issuer_chain.leaf.subject_public_key,
-                         certificate_body(proxy), proxy.signature):
+                                 certificate_body(proxy), proxy.signature):
         raise ValueError("private key does not match the chain's leaf public key")
     return issuer_chain.extended(proxy)
 
@@ -153,7 +125,8 @@ class CertificateAuthority:
     def create(cls, name: str, validity: ValidityInterval,
                rng=None) -> "CertificateAuthority":
         public_key, private_key = DEFAULT_SCHEME.generate(rng)
-        anchor = make_trust_anchor(name, public_key, private_key, validity)
+        anchor = _issue(KIND_TRUST_ANCHOR, name, name, public_key, validity,
+                        private_key)
         return cls(name, public_key, private_key, anchor)
 
     def issue_identity(self, subject_name: str, subject_pk: bytes,

@@ -71,12 +71,9 @@ class Right:
 @dataclass(frozen=True)
 class PolicyDocument:
     rights: tuple[Right, ...] = ()
-    language: str = LANGUAGE
 
     def __post_init__(self):
         object.__setattr__(self, "rights", tuple(self.rights))
-        if not _token_ok(self.language):
-            raise ValueError(f"language must be a nonempty token: {self.language!r}")
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,6 @@ _HEADER = f"lang: {LANGUAGE}"
 
 
 def serialize_policy(doc: PolicyDocument) -> bytes:
-    if doc.language != LANGUAGE:
-        raise UnsupportedLanguage(f"cannot serialize language {doc.language!r}")
     lines = [_HEADER]
     for right in doc.rights:
         lines.append("right:")

@@ -3,7 +3,7 @@
 One post-handshake message type:
 
     FILE-OP  action: read|write|list  path: </object/name>
-             [service: <type>]        [data: <hex>]
+             [service: <type>]        [data: <hex>, required for write]
 
 Replies: OK (``data`` for read, newline-joined names for list), DENIED
 (always just ``reason: denied``; the grant table must not leak through
@@ -68,6 +68,8 @@ class ResourceServer(AuthenticatedServer):
             service = message.get("service", "file")
             payload = bytes.fromhex(message["data"]) if "data" in message else None
             req = Request(service, action, canonical_name(path))
+            if action == "write" and payload is None:
+                raise ValueError("a write needs data")
         except ValueError:
             return {"msg": "ERROR", "reason": "parse"}
 

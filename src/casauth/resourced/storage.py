@@ -50,52 +50,36 @@ class VirtualRoot:
         return Path(self.root).joinpath(*canonical_name(object_path).split("/"))
 
 
-def _read(path: Path) -> bytes:
-    try:
-        return path.read_bytes()
-    except FileNotFoundError:
-        raise NotFound(str(path.name)) from None
-    except IsADirectoryError:
-        raise IsDirectory(str(path.name)) from None
-    except OSError as exc:
-        raise IoError(str(exc)) from None
-
-
-def _write(path: Path, payload: bytes) -> None:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(str(exc)) from None
-    write_file(path, payload, "object", 0o600)
-
-
-def _list(path: Path) -> list[str]:
-    try:
-        return sorted(p.name for p in path.iterdir()
-                      if not p.name.startswith(TEMP_PREFIX))
-    except FileNotFoundError:
-        raise NotFound(str(path.name)) from None
-    except NotADirectoryError:
-        raise NotDirectory(str(path.name)) from None
-    except OSError as exc:
-        raise IoError(str(exc)) from None
-
-
 def handle_file_op(root: VirtualRoot, req: Request,
                    payload: bytes | None = None):
     """Execute an already-authorized file request.
 
     read returns bytes, list returns sorted child names, write stores the
     payload durably and atomically, as a file of mode 0600, and returns None.
+    Nothing is created outside the root: a write of the root itself raises
+    IsDirectory before anything is made. A name under a file raises
+    NotDirectory for every action.
     """
     path = root.resolve(req.object)
-    if req.action_name == "read":
-        return _read(path)
-    if req.action_name == "write":
-        if payload is None:
-            raise IoError("write needs a payload")
-        _write(path, payload)
-        return None
-    if req.action_name == "list":
-        return _list(path)
+    try:
+        if req.action_name == "read":
+            return path.read_bytes()
+        if req.action_name == "list":
+            return sorted(p.name for p in path.iterdir()
+                          if not p.name.startswith(TEMP_PREFIX))
+        if req.action_name == "write":
+            if path == Path(root.root):
+                raise IsDirectory(req.object)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_file(path, payload, "object", 0o600)
+            return None
+    except FileNotFoundError:
+        raise NotFound(req.object) from None
+    except IsADirectoryError:
+        raise IsDirectory(req.object) from None
+    except (NotADirectoryError, FileExistsError):
+        # mkdir raises FileExistsError when a parent of the name is a file
+        raise NotDirectory(req.object) from None
+    except OSError as exc:
+        raise IoError(str(exc)) from None
     raise ValueError(f"no handler for action {req.action_name!r}")

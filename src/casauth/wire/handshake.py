@@ -42,9 +42,18 @@ def _hex_bytes(fields: dict[str, str], key: str, expected_len: int | None = None
     return value
 
 
-def _expect(fields: dict[str, str] | None, msg_type: str) -> dict[str, str]:
+def _receive(sock: socket.socket, msg_type: str) -> dict[str, str]:
+    """The peer's next frame, which must be a ``msg_type`` message.
+
+    Anything else raises HandshakeError: end of stream, a frame that does
+    not parse, another type, or the peer's ERROR (Expired for ``expired``).
+    """
+    try:
+        fields = read_message(sock)
+    except ProtocolError as exc:
+        raise HandshakeError(str(exc)) from None
     if fields is None:
-        raise HandshakeError("connection closed during handshake")
+        raise HandshakeError(f"connection closed before {msg_type}")
     if fields["msg"] == "ERROR":
         reason = fields.get("reason", "")
         if reason == "expired":
@@ -62,14 +71,7 @@ def server_handshake(sock: socket.socket, chain: CertificateChain, leaf_key: Any
     Raises the verification error (after sending the terminal ERROR frame)
     when the client does not authenticate.
     """
-    try:
-        hello = read_message(sock)
-    except ProtocolError as exc:
-        raise HandshakeError(str(exc)) from None
-    if hello is None:
-        raise HandshakeError("connection closed before HELLO")
-    if hello["msg"] != "HELLO":
-        raise HandshakeError(f"expected HELLO, got {hello['msg']}")
+    hello = _receive(sock, "HELLO")
     client_nonce = _hex_bytes(hello, "nonce", NONCE_BYTES)
     try:
         client_chain = decode_chain(_hex_bytes(hello, "chain"))
@@ -90,13 +92,7 @@ def server_handshake(sock: socket.socket, chain: CertificateChain, leaf_key: Any
         "sig": DEFAULT_SCHEME.sign(leaf_key, client_nonce + server_nonce).hex(),
     })
 
-    try:
-        response = read_message(sock)
-    except ProtocolError as exc:
-        raise HandshakeError(str(exc)) from None
-    if response is None or response["msg"] != "RESPONSE":
-        raise HandshakeError("expected RESPONSE")
-    sig = _hex_bytes(response, "sig")
+    sig = _hex_bytes(_receive(sock, "RESPONSE"), "sig")
     if not DEFAULT_SCHEME.verify(subject.leaf_public_key,
                                  server_nonce + client_nonce, sig):
         raise HandshakeError("client failed proof of possession")
@@ -115,10 +111,7 @@ def client_handshake(sock: socket.socket, chain: CertificateChain, leaf_key: Any
         "chain": encode_chain(chain).hex(),
         "nonce": client_nonce.hex(),
     })
-    try:
-        challenge = _expect(read_message(sock), "CHALLENGE")
-    except ProtocolError as exc:
-        raise HandshakeError(str(exc)) from None
+    challenge = _receive(sock, "CHALLENGE")
     server_nonce = _hex_bytes(challenge, "nonce", NONCE_BYTES)
     try:
         server_chain = decode_chain(_hex_bytes(challenge, "chain"))

@@ -178,6 +178,32 @@ def test_no_temp_file_is_reachable(tmp_path, monkeypatch):
         canonical_name("/d/" + TEMP_PREFIX + "x")
 
 
+@pytest.mark.parametrize("action, name, error", [
+    ("read", "/f/x", NotDirectory),
+    ("write", "/f/x", NotDirectory),
+    ("list", "/f/x", NotDirectory),
+    ("read", "/absent", NotFound),
+    ("read", "/", IsDirectory),
+    ("write", "/", IsDirectory),
+])
+def test_storage_maps_os_errors_and_opens_nothing_outside_the_root(
+        tmp_path, monkeypatch, action, name, error):
+    root = tmp_path / "root"
+    root.mkdir()
+    (root / "f").write_bytes(b"a file")
+    opened = []
+    real_open = os.open
+
+    def spy(path, *args, **kwargs):
+        opened.append(Path(os.path.abspath(path)))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    with pytest.raises(error):
+        handle_file_op(VirtualRoot(root), Request("file", action, name), b"x")
+    assert all(path.is_relative_to(root) for path in opened), opened
+
+
 def test_traversal_rejected_before_filesystem_access(tmp_path):
     root = VirtualRoot(tmp_path / "missing-root")  # would fail if touched
     for attack in ("/esg/../../etc", "/..", "/a/../../x", "/../etc/passwd"):

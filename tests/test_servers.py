@@ -275,6 +275,16 @@ def test_write_visible_through_read(world):
     assert listing == ["new.nc", "t42.nc"]
 
 
+def test_write_without_data_is_error_parse(world):
+    world["admin"]("grant", "user:alice", "pattern:/esg/data/*", "file", "write")
+    capability, session_key = acquire(world)
+    request = {"msg": "FILE-OP", "action": "write", "path": "/esg/data/new.nc"}
+    with ClientSession(world["resource"].address, capability, session_key,
+                       world["store"], clock=world["clock"]) as session:
+        assert session.request(request) == {"msg": "ERROR", "reason": "parse"}
+    assert not (world["root"] / "esg" / "data" / "new.nc").exists()
+
+
 def test_transport_error_when_cas_offline(world):
     address = world["cas"].address
     world["cas"].shutdown()

@@ -1,5 +1,6 @@
 """Framing and the mutual-authentication handshake."""
 
+import os
 import socket
 import struct
 import threading
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casauth.credential.certs import ValidityInterval
+from casauth.credential.certs import ValidityInterval, encode_chain
 from casauth.credential.issue import CertificateAuthority
 from casauth.credential.keys import DEFAULT_SCHEME
 from casauth.credential.verify import EnforcementContext
@@ -195,3 +196,43 @@ def test_echoed_signature_rejected(rng):
         lambda sock: server_handshake(sock, chain, key, store, UNWILLING, NOW),
         echo_client)
     assert isinstance(results["server_error"], HandshakeError)
+
+
+def send_not_the_message(sock, bad):
+    if bad == "unparsable":
+        payload = b"not a message\n"
+        sock.sendall(struct.pack(">I", len(payload)) + payload)
+    elif bad == "wrong-type":
+        send_message(sock, {"msg": "OK"})
+    # "eof": send nothing; run_handshake closes the socket
+
+
+@pytest.mark.parametrize("bad", ["eof", "unparsable", "wrong-type"])
+@pytest.mark.parametrize("read", ["HELLO", "CHALLENGE", "RESPONSE"])
+def test_each_handshake_read_refuses_what_is_not_its_message(rng, read, bad):
+    ca, (s_chain, s_key), (c_chain, c_key) = make_parties(rng)
+    store = {ca.certificate}
+
+    def fake_server(sock):
+        read_message(sock)  # the HELLO
+        send_not_the_message(sock, bad)
+
+    def fake_client(sock):
+        if read == "RESPONSE":
+            send_message(sock, {"msg": "HELLO", "chain": encode_chain(c_chain).hex(),
+                                "nonce": os.urandom(16).hex()})
+            assert read_message(sock)["msg"] == "CHALLENGE"
+        send_not_the_message(sock, bad)
+
+    if read == "CHALLENGE":
+        results = run_handshake(
+            fake_server,
+            lambda sock: client_handshake(sock, c_chain, c_key, store, NOW))
+        error = results.get("client_error")
+    else:
+        results = run_handshake(
+            lambda sock: server_handshake(sock, s_chain, s_key, store, UNWILLING, NOW),
+            fake_client)
+        assert "client_error" not in results, results
+        error = results.get("server_error")
+    assert isinstance(error, HandshakeError), results
