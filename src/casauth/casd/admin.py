@@ -21,7 +21,7 @@ from ..errors import (
     UnknownName,
 )
 from ..policy.engine import evaluate
-from ..policy.model import Decision, Request
+from ..policy.model import Request
 from .db import (
     CommunityDB,
     GRANTEE_GROUP,
@@ -90,7 +90,7 @@ def admin_target(cmd: AdminCommand) -> str:
 
 
 def authorize_admin(db: CommunityDB, actor_identity: str, cmd: AdminCommand,
-                    bootstrap_admin: str | None = None) -> Decision:
+                    bootstrap_admin: str | None = None) -> bool:
     """Decide whether the actor may run the command.
 
     Raises UnknownActor for identities that are neither enrolled nor the
@@ -98,7 +98,7 @@ def authorize_admin(db: CommunityDB, actor_identity: str, cmd: AdminCommand,
     """
     check_command(cmd)
     if bootstrap_admin is not None and actor_identity == bootstrap_admin:
-        return Decision.PERMIT
+        return True
     if find_user(db, actor_identity) is None:
         raise UnknownActor(f"identity {actor_identity!r} is not enrolled")
     target = admin_target(cmd)
@@ -212,7 +212,7 @@ def apply_admin(db: CommunityDB, actor_identity: str, cmd: AdminCommand,
     The input database is never mutated: a failed command leaves caller
     state untouched, which is what makes persistence atomic.
     """
-    if not authorize_admin(db, actor_identity, cmd, bootstrap_admin).is_permit:
+    if not authorize_admin(db, actor_identity, cmd, bootstrap_admin):
         raise NotAuthorized(f"{actor_identity!r} may not {cmd.verb}")
     new_db = db.clone()
     _mutate(new_db, cmd)

@@ -91,9 +91,12 @@ def _check(cond: bool, message: str) -> None:
 # the admin verbs over just what they touch.
 
 def check_name(kind: str, name: str) -> None:
-    """Names of users, resources, and groups: single printable tokens."""
+    """Names of users, resources, and groups: single printable tokens.
+
+    No ``*``: an admin request names its group as a concrete object.
+    """
     if not (name and name.isascii() and not any(c.isspace() for c in name)
-            and not any(c in name for c in ":[]")):
+            and not any(c in name for c in ":[]*")):
         raise InvariantViolation(f"bad {kind} name {name!r}")
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..policy.engine import pattern_subsumes
+from ..policy.engine import grants
 from ..policy.model import Action, ObjectPattern, PolicyDocument, Right
 from .db import (
     CommunityDB,
@@ -59,18 +59,15 @@ def compute_user_rights(db: CommunityDB, user_identity: str) -> PolicyDocument:
 def intersect_documents(held: PolicyDocument, requested: PolicyDocument) -> PolicyDocument:
     """Narrow ``requested`` to what ``held`` covers.
 
-    A requested (pattern, action) pair survives when the action is held on
-    some pattern that subsumes the requested one; partially overlapping
-    patterns are narrowed to the requested side, never widened.
+    A requested (pattern, action) pair survives when ``held`` grants the
+    action on the requested pattern; partially overlapping patterns are
+    narrowed to the requested side, never widened.
     """
-    held_pairs = [(p, a) for right in held.rights
-                  for a in right.actions for p in right.objects]
     out: list[Right] = []
     for right in requested.rights:
         for obj in right.objects:
             actions = tuple(a for a in right.actions
-                            if any(a == ha and pattern_subsumes(hp, obj)
-                                   for hp, ha in held_pairs))
+                            if grants(held, a.service_type, a.action_name, obj.pattern))
             if actions:
                 out.append(Right((obj,), actions))
     return PolicyDocument(rights=tuple(out))

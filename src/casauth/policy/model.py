@@ -7,19 +7,9 @@ anything not granted is denied.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 LANGUAGE = "cas-simple-v1"
-
-
-class Decision(enum.Enum):
-    PERMIT = "permit"
-    DENY = "deny"
-
-    @property
-    def is_permit(self) -> bool:
-        return self is Decision.PERMIT
 
 
 def _token_ok(value: str) -> bool:

@@ -14,7 +14,7 @@ from typing import Mapping
 
 from ..credential.verify import VerifiedSubject
 from ..policy.engine import EvaluatorRegistry, evaluate, evaluate_all
-from ..policy.model import Decision, PolicyDocument, Request
+from ..policy.model import PolicyDocument, Request
 
 FILE_ACTIONS = frozenset({"read", "write", "list"})
 
@@ -35,11 +35,11 @@ LocalGrantTable = Mapping[str, PolicyDocument]
 
 def authorize(table: LocalGrantTable, subject: VerifiedSubject,
               registry: ServiceRegistry, req: Request,
-              evaluators: EvaluatorRegistry) -> Decision:
+              evaluators: EvaluatorRegistry) -> bool:
     """Local policy for the grantor AND capability policy for the bearer."""
     if not registry.allows(req.service_type, req.action_name):
-        return Decision.DENY
+        return False
     local = table.get(subject.identity)
-    if local is None or not evaluate(local, req).is_permit:
-        return Decision.DENY
+    if local is None or not evaluate(local, req):
+        return False
     return evaluate_all(subject.restrictions, evaluators, req)

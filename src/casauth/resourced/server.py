@@ -73,8 +73,7 @@ class ResourceServer(AuthenticatedServer):
         except ValueError:
             return {"msg": "ERROR", "reason": "parse"}
 
-        if not authorize(self._table, subject, self._registry, req,
-                         self._evaluators).is_permit:
+        if not authorize(self._table, subject, self._registry, req, self._evaluators):
             self.logger.info("denied %s %s for %s", action, req.object, subject.identity)
             return {"msg": "DENIED", "reason": "denied"}
         # storage writes a temp file and renames it over the name, so

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import re
 
+from genutils import PATTERNS
+
 
 def oracle_match(pattern: str, obj: str) -> bool:
     """Regex translation of the pattern language."""
@@ -87,3 +89,25 @@ def oracle_user_rights_permit(db, identity: str, request) -> bool:
         if any(oracle_match(p, request.object) for p in patterns):
             return True
     return False
+
+
+
+def oracle_intersect(held, requested) -> set:
+    """(pattern, action) pairs of ``requested`` that some held pattern with
+    the same action contains.
+
+    Containment is judged by ``oracle_match`` over a finite universe: each
+    ``genutils.PATTERNS`` stem, that stem plus ``/z``, and ``/zz``.
+    """
+    stems = [p.removesuffix("*").removesuffix("/") for p in PATTERNS]
+    universe = [name for stem in stems for name in (stem, stem + "/z")] + ["/zz"]
+
+    def contains(general: str, specific: str) -> bool:
+        return all(oracle_match(general, name) for name in universe
+                   if oracle_match(specific, name))
+
+    held_pairs = [(p.pattern, a) for right in held.rights
+                  for a in right.actions for p in right.objects]
+    return {(p.pattern, a) for right in requested.rights
+            for a in right.actions for p in right.objects
+            if any(a == ha and contains(hp, p.pattern) for hp, ha in held_pairs)}

@@ -97,7 +97,7 @@ def test_criterion_1_intersection_oracle_equivalence():
                                       restrictions, ("cas-session-1",))
             req = random_request(rng)
             got = authorize({"cas.esg": local}, subject, registry, req,
-                            evaluators).is_permit
+                            evaluators)
             expected = oracle_evaluate(local, req) and oracle_stack(stack, req)
             mismatches += got != expected
         elapsed = time.monotonic() - started
@@ -186,7 +186,7 @@ def test_criterion_4_no_rights_amplification(rng):
                     issued += 1
                     granted = parse_policy(capability.leaf.restriction.body)
                     for req in requests:
-                        if evaluate(granted, req).is_permit:
+                        if evaluate(granted, req):
                             violations += not oracle_user_rights_permit(
                                 db, entry.identity, req)
         assert violations == 0

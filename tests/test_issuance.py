@@ -66,8 +66,8 @@ def test_capability_passes_through_held_rights(ca, rng, issuer, alice_db):
     assert len(capability.certs) == 2
     assert capability.leaf.subject_public_key == session_pk
     doc = restriction_doc(capability)
-    assert evaluate(doc, Request("file", "read", "/esg/data/x")).is_permit
-    assert not evaluate(doc, Request("file", "write", "/esg/data/x")).is_permit
+    assert evaluate(doc, Request("file", "read", "/esg/data/x"))
+    assert not evaluate(doc, Request("file", "write", "/esg/data/x"))
     # the chain itself verifies as a restricted credential of the CAS identity
     verified = verify_chain(capability, {ca.certificate}, NOW + 100, WILLING)
     assert verified.identity == "cas.esg"
@@ -135,8 +135,8 @@ def test_requested_narrower_than_held(ca, rng, issuer, alice_db):
     capability = issuer.request_capability(alice_db, subject, session_pk, want,
                                            3600, NOW)
     doc = restriction_doc(capability)
-    assert evaluate(doc, Request("file", "read", "/esg/data/t42.nc")).is_permit
-    assert not evaluate(doc, Request("file", "read", "/esg/data/other")).is_permit
+    assert evaluate(doc, Request("file", "read", "/esg/data/t42.nc"))
+    assert not evaluate(doc, Request("file", "read", "/esg/data/other"))
 
 
 def test_request_outside_held_rights_denied(ca, rng, issuer, alice_db):
@@ -172,7 +172,7 @@ def test_no_rights_amplification_randomized(ca, rng, issuer):
                 for action in ACTIONS:
                     for obj in OBJECTS:
                         req = Request(service, action, obj)
-                        if evaluate(doc, req).is_permit:
+                        if evaluate(doc, req):
                             assert oracle_user_rights_permit(db, identity, req), \
                                 (identity, req)
     assert issued > 20  # the sweep actually exercised issuance

@@ -7,31 +7,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casauth.credential.certs import RestrictionPolicy
+from casauth.casd.admin import AdminCommand, authorize_admin
+from casauth.casd.db import CommunityDB, PolicyStatement, UserEntry
+from casauth.credential.certs import RestrictionPolicy, ValidityInterval
+from casauth.credential.verify import VerifiedSubject
 from casauth.errors import ParseError, UnknownPolicyLanguage, UnsupportedLanguage
 from casauth.policy.engine import (
     EvaluatorRegistry,
     evaluate,
     evaluate_all,
+    grants,
     match_object,
-    pattern_subsumes,
 )
 from casauth.policy.model import (
     Action,
-    Decision,
     ObjectPattern,
     PolicyDocument,
     Request,
     Right,
 )
 from casauth.policy.text import parse_policy, serialize_policy
+from casauth.resourced.authz import ServiceRegistry, authorize
 
 from genutils import ACTIONS, OBJECTS, SERVICES, random_document, random_request
 from oracles import compile_pattern, oracle_evaluate, oracle_stack
 
 
 def permits(doc, req) -> bool:
-    return evaluate(doc, req).is_permit
+    return evaluate(doc, req)
 
 
 # --- object matching ---------------------------------------------------------
@@ -67,6 +70,11 @@ def test_pattern_validation():
         ObjectPattern(good)
 
 
+def holds(pattern: str) -> PolicyDocument:
+    return PolicyDocument(rights=(
+        Right((ObjectPattern(pattern),), (Action("file", "read"),)),))
+
+
 def test_subsumption():
     cases = [
         ("*", "/a/b", True),
@@ -80,8 +88,8 @@ def test_subsumption():
         ("/a/*", "*", False),
     ]
     for general, specific, expected in cases:
-        assert pattern_subsumes(ObjectPattern(general), ObjectPattern(specific)) \
-            == expected, (general, specific)
+        assert grants(holds(general), "file", "read", specific) == expected, \
+            (general, specific)
 
 
 def test_subsumption_means_match_containment():
@@ -91,7 +99,7 @@ def test_subsumption_means_match_containment():
     patterns = [ObjectPattern(p) for p in ("*", "/a", "/a/*", "/a/b", "/a/b/*", "/ab")]
     for general in patterns:
         for specific in patterns:
-            if pattern_subsumes(general, specific):
+            if grants(holds(general.pattern), "file", "read", specific.pattern):
                 for obj in universe:
                     if match_object(specific, obj):
                         assert match_object(general, obj), (general, specific, obj)
@@ -143,7 +151,7 @@ def body_of(doc) -> RestrictionPolicy:
 
 def test_empty_stack_permits():
     registry = EvaluatorRegistry()
-    assert evaluate_all([], registry, Request("file", "read", "/x")).is_permit
+    assert evaluate_all([], registry, Request("file", "read", "/x"))
 
 
 def test_stack_is_conjunction():
@@ -152,9 +160,9 @@ def test_stack_is_conjunction():
         Right((ObjectPattern("*"),), (Action("file", "read"),)),))
     deny_all = PolicyDocument()
     req = Request("file", "read", "/x")
-    assert evaluate_all([body_of(permit_all)], registry, req).is_permit
+    assert evaluate_all([body_of(permit_all)], registry, req)
     assert not evaluate_all([body_of(permit_all), body_of(deny_all)], registry,
-                            req).is_permit
+                            req)
 
 
 def test_random_stacks_match_conjunction_oracle():
@@ -163,7 +171,7 @@ def test_random_stacks_match_conjunction_oracle():
     for _ in range(400):
         docs = [random_document(rng) for _ in range(rng.randint(0, 4))]
         req = random_request(rng)
-        got = evaluate_all([body_of(d) for d in docs], registry, req).is_permit
+        got = evaluate_all([body_of(d) for d in docs], registry, req)
         assert got == oracle_stack(docs, req), (docs, req)
 
 
@@ -190,15 +198,49 @@ def test_unknown_language_is_defensive_error():
 def test_registry_always_knows_simple_language():
     registry = EvaluatorRegistry()
     assert "cas-simple-v1" in registry.languages()
-    registry.register("allow-all-v1", lambda body, req: Decision.PERMIT)
+    registry.register("allow-all-v1", lambda body, req: True)
     assert evaluate_all([RestrictionPolicy("allow-all-v1", b"")], registry,
-                        Request("file", "read", "/x")).is_permit
+                        Request("file", "read", "/x"))
 
 
 def test_unparseable_body_grants_nothing():
     registry = EvaluatorRegistry()
     stack = [RestrictionPolicy("cas-simple-v1", b"\xff\xfe garbage")]
-    assert not evaluate_all(stack, registry, Request("file", "read", "/x")).is_permit
+    assert not evaluate_all(stack, registry, Request("file", "read", "/x"))
+
+
+# --- decisions are plain bools --------------------------------------------------------
+
+READ_ALL = PolicyDocument(rights=(Right((ObjectPattern("*"),), (Action("file", "read"),)),))
+READ_X = Request("file", "read", "/x")
+
+
+def _authorize(doc) -> bool:
+    subject = VerifiedSubject("cas.esg", b"\x01" * 32, ValidityInterval(0, 10**9),
+                              (body_of(doc),), ())
+    return authorize({"cas.esg": READ_ALL}, subject, ServiceRegistry(), READ_X,
+                     EvaluatorRegistry())
+
+
+def _authorize_admin(doc) -> bool:
+    db = CommunityDB()
+    db.users["ann"] = UserEntry("CN=ann")
+    if doc.rights:
+        db.statements.append(PolicyStatement(1, "user", "ann", "pattern", "users",
+                                             "cas", "enroll-user"))
+        db.next_statement_id = 2
+    return authorize_admin(db, "CN=ann", AdminCommand("enroll-user", ("bob", "CN=bob")))
+
+
+@pytest.mark.parametrize("decide", [
+    lambda doc: evaluate(doc, READ_X),
+    lambda doc: evaluate_all([body_of(doc)], EvaluatorRegistry(), READ_X),
+    _authorize,
+    _authorize_admin,
+], ids=["evaluate", "evaluate_all", "authorize", "authorize_admin"])
+def test_decisions_are_bools(decide):
+    assert decide(READ_ALL) is True
+    assert decide(PolicyDocument()) is False
 
 
 # --- text form ------------------------------------------------------------------------

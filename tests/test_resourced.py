@@ -61,7 +61,7 @@ def doc(*rights) -> PolicyDocument:
 
 
 def permits(table, subject, req) -> bool:
-    return authorize(table, subject, REGISTRY, req, EVALUATORS).is_permit
+    return authorize(table, subject, REGISTRY, req, EVALUATORS)
 
 
 def test_intersection_example_from_the_esg_setting():
@@ -90,7 +90,7 @@ def test_unknown_service_type_and_action_denied():
     subject = subject_with([])
     assert not permits(table, subject, Request("tape", "read", "/esg/x"))
     assert not authorize(table, subject, REGISTRY,
-                         Request("file", "chmod", "/esg/x"), EVALUATORS).is_permit
+                         Request("file", "chmod", "/esg/x"), EVALUATORS)
 
 
 def test_unrestricted_user_chain_with_direct_grant():

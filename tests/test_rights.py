@@ -8,11 +8,11 @@ from casauth.policy.engine import evaluate
 from casauth.policy.model import Action, ObjectPattern, PolicyDocument, Request, Right
 
 from genutils import ACTIONS, OBJECTS, SERVICES, random_db, random_document
-from oracles import oracle_evaluate, oracle_user_rights_permit
+from oracles import oracle_evaluate, oracle_intersect, oracle_user_rights_permit
 
 
 def permits(doc, req) -> bool:
-    return evaluate(doc, req).is_permit
+    return evaluate(doc, req)
 
 
 def universe():
@@ -101,6 +101,18 @@ def test_intersection_never_widens_either_side():
             if permits(narrowed, req):
                 assert oracle_evaluate(held, req)
                 assert oracle_evaluate(requested, req)
+
+
+def test_intersection_keeps_exactly_the_contained_pairs():
+    # never drops a pair the held side covers, never keeps one it does not
+    rng = random.Random(33)
+    for _ in range(400):
+        held = random_document(rng)
+        requested = random_document(rng)
+        narrowed = intersect_documents(held, requested)
+        kept = {(p.pattern, a) for right in narrowed.rights
+                for a in right.actions for p in right.objects}
+        assert kept == oracle_intersect(held, requested), (held, requested)
 
 
 def test_intersection_exact_when_requested_subsumed():

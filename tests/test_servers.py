@@ -9,6 +9,7 @@ import casauth.casd.server as casd_server
 import casauth.client.api as client_api
 import casauth.credential.keys as keys
 import casauth.policy.engine as policy_engine
+import casauth.resourced.authz as resourced_authz
 import casauth.resourced.server as resourced_server
 import casauth.wire.frames as wire_frames
 import casauth.wire.handshake as wire_handshake
@@ -207,8 +208,8 @@ def test_want_narrower_than_held(world):
     want = make_policy([("file", ["read"], ["/esg/data/t42.nc"])])
     capability, session_key = acquire(world, want=want)
     doc = parse_policy(capability.leaf.restriction.body)
-    assert evaluate(doc, Request("file", "read", "/esg/data/t42.nc")).is_permit
-    assert not evaluate(doc, Request("file", "read", "/esg/data/other")).is_permit
+    assert evaluate(doc, Request("file", "read", "/esg/data/t42.nc"))
+    assert not evaluate(doc, Request("file", "read", "/esg/data/other"))
 
 
 def test_session_private_key_never_sent(world, rng):
@@ -473,7 +474,8 @@ def test_benchmark_observation_points_are_called(world, monkeypatch):
 
 def test_codec_observation_points_are_called(world, monkeypatch):
     # The module globals through which the benchmark times chain decoding,
-    # chain verification, framing and policy parsing.
+    # chain verification, framing, policy parsing and the resource's two
+    # policy checks.
     calls = {}
 
     def count(owner, attr):
@@ -491,6 +493,8 @@ def test_codec_observation_points_are_called(world, monkeypatch):
     count(wire_frames, "encode_message")
     count(client_api, "decode_chain")
     count(policy_engine, "parse_policy")
+    count(resourced_authz, "evaluate_all")
+    count(resourced_server, "authorize")
 
     capability, session_key = acquire(world)
     assert capability.leaf.restriction is not None
