@@ -42,15 +42,18 @@ from .rights import compute_user_rights, find_user
 
 ADMIN_SERVICE = "cas"
 
-_ARITY = {
-    "enroll-user": 2,       # <name> <identity>, identity may contain spaces
-    "unenroll-user": 1,     # <name>
-    "enroll-resource": 2,   # <name> <object pattern>
-    "create-group": 2,      # user|resource <name>
-    "group-add": 2,         # <group> <member>
-    "group-remove": 2,      # <group> <member>
-    "grant": 4,             # user:N|group:N resource:N|rgroup:N|pattern:P <svc> <act>
-    "revoke": 1,            # <statement id>
+# verb -> (arguments, target): the target is the policy object an actor
+# must hold the verb on, a fixed name or the index of the argument that
+# names a group
+_VERBS = {
+    "enroll-user": (2, "users"),           # <name> <identity>, identity may contain spaces
+    "unenroll-user": (1, "users"),         # <name>
+    "enroll-resource": (2, "resources"),   # <name> <object pattern>
+    "create-group": (2, 1),                # user|resource <name>
+    "group-add": (2, 0),                   # <group> <member>
+    "group-remove": (2, 0),                # <group> <member>
+    "grant": (4, "statements"),            # user:N|group:N resource:N|rgroup:N|pattern:P <svc> <act>
+    "revoke": (1, "statements"),           # <statement id>
 }
 
 
@@ -63,30 +66,22 @@ class AdminCommand:
         object.__setattr__(self, "args", tuple(self.args))
 
 
-def check_command(cmd: AdminCommand) -> None:
-    if cmd.verb not in _ARITY:
-        raise InvariantViolation(f"unknown admin verb {cmd.verb!r}")
-    want = _ARITY[cmd.verb]
-    if cmd.verb == "enroll-user":
-        # last argument is the identity and may itself contain spaces
-        if len(cmd.args) < want:
-            raise InvariantViolation(f"{cmd.verb} takes {want} arguments")
-    elif len(cmd.args) != want:
-        raise InvariantViolation(f"{cmd.verb} takes {want} arguments")
-
-
 def admin_target(cmd: AdminCommand) -> str:
-    """The policy object an actor must hold rights on for this command."""
-    verb = cmd.verb
-    if verb in ("enroll-user", "unenroll-user"):
-        return "users"
-    if verb == "enroll-resource":
-        return "resources"
-    if verb == "create-group":
-        return cmd.args[1]
-    if verb in ("group-add", "group-remove"):
-        return cmd.args[0]
-    return "statements"  # grant, revoke
+    """The policy object an actor must hold rights on for this command.
+
+    Raises InvariantViolation for an unknown verb, a wrong argument count,
+    or a target group name that no group could have.
+    """
+    if cmd.verb not in _VERBS:
+        raise InvariantViolation(f"unknown admin verb {cmd.verb!r}")
+    want, target = _VERBS[cmd.verb]
+    # enroll-user's identity is its last argument and may contain spaces
+    if len(cmd.args) < want or (len(cmd.args) > want and cmd.verb != "enroll-user"):
+        raise InvariantViolation(f"{cmd.verb} takes {want} arguments")
+    if isinstance(target, int):
+        target = cmd.args[target]
+        check_name("group", target)
+    return target
 
 
 def authorize_admin(db: CommunityDB, actor_identity: str, cmd: AdminCommand,
@@ -96,14 +91,13 @@ def authorize_admin(db: CommunityDB, actor_identity: str, cmd: AdminCommand,
     Raises UnknownActor for identities that are neither enrolled nor the
     configured bootstrap administrator.
     """
-    check_command(cmd)
+    target = admin_target(cmd)
     if bootstrap_admin is not None and actor_identity == bootstrap_admin:
         return True
     if find_user(db, actor_identity) is None:
         raise UnknownActor(f"identity {actor_identity!r} is not enrolled")
-    target = admin_target(cmd)
-    request = Request(ADMIN_SERVICE, cmd.verb, target)
-    return evaluate(compute_user_rights(db, actor_identity), request)
+    return evaluate(compute_user_rights(db, actor_identity),
+                    Request(ADMIN_SERVICE, cmd.verb, target))
 
 
 def _require_new_group_name(db: CommunityDB, name: str) -> None:

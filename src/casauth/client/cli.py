@@ -16,7 +16,6 @@ from ..credential.certs import (
 )
 from ..credential.issue import CertificateAuthority
 from ..credfile import load_credential, save_credential
-from ..errors import TransportError
 from ..lines import read_file
 from ..policy.model import ALL
 from ..policy.text import parse_policy
@@ -28,15 +27,10 @@ TRUST_ENV = "CAS_TRUST_STORE"
 DEFAULT_PROXY = "./cas-proxy"
 
 
-def _trust_path(value: str | None) -> str:
-    path = value or os.environ.get(TRUST_ENV)
-    if not path:
-        raise TransportError("no trust store: pass --trust or set CAS_TRUST_STORE")
-    return path
-
-
-def _proxy_path(value: str | None) -> str:
-    return value or os.environ.get(PROXY_ENV) or DEFAULT_PROXY
+def _add_trust(parser: argparse.ArgumentParser) -> None:
+    trust = os.environ.get(TRUST_ENV) or None
+    parser.add_argument("--trust", default=trust, required=trust is None,
+                        help=f"trust store (default ${TRUST_ENV})")
 
 
 # --- cas-keygen ---------------------------------------------------------------
@@ -90,13 +84,13 @@ def main_admin(argv=None) -> int:
         prog="cas-admin", description="Administer a CAS server")
     parser.add_argument("--cas", required=True, help="host:port of the CAS server")
     parser.add_argument("--cred", required=True, help="credential file to authenticate with")
-    parser.add_argument("--trust", help=f"trust store (default ${TRUST_ENV})")
+    _add_trust(parser)
     parser.add_argument("verb", help="enroll-user, grant, ...")
     parser.add_argument("args", nargs="*")
 
     def body(args) -> int:
         chain, leaf_key = load_credential(args.cred)
-        anchors = load_trust_store(_trust_path(args.trust))
+        anchors = load_trust_store(args.trust)
         reply = admin_command(split_endpoint(args.cas), chain, leaf_key,
                               args.verb, args.args, trust_store=anchors)
         if "id" in reply:
@@ -116,18 +110,19 @@ def main_proxy_init(argv=None) -> int:
         description="Acquire a capability and store it as a proxy file")
     parser.add_argument("--cas", required=True, help="host:port of the CAS server")
     parser.add_argument("--cred", required=True, help="long-term user credential")
-    parser.add_argument("--trust", help=f"trust store (default ${TRUST_ENV})")
+    _add_trust(parser)
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true",
                        help="request everything the community grants you")
     group.add_argument("--want", help="policy file naming the rights to request")
     parser.add_argument("--lifetime", type=nonnegative_int,
                         help="capability lifetime in seconds (default: the server's cap)")
-    parser.add_argument("--out", help=f"proxy path (default ${PROXY_ENV} or {DEFAULT_PROXY})")
+    parser.add_argument("--out", default=os.environ.get(PROXY_ENV) or DEFAULT_PROXY,
+                        help=f"proxy path (default ${PROXY_ENV} or {DEFAULT_PROXY})")
 
     def body(args) -> int:
         chain, leaf_key = load_credential(args.cred)
-        anchors = load_trust_store(_trust_path(args.trust))
+        anchors = load_trust_store(args.trust)
         if args.all:
             want = ALL
         else:
@@ -135,10 +130,9 @@ def main_proxy_init(argv=None) -> int:
         capability, session_key = acquire_capability(
             split_endpoint(args.cas), chain, leaf_key, want, args.lifetime,
             trust_store=anchors)
-        out = _proxy_path(args.out)
-        save_credential(out, capability, session_key)
+        save_credential(args.out, capability, session_key)
         leaf = capability.leaf
-        print(f"capability stored in {out}, valid until {leaf.validity.not_after}")
+        print(f"capability stored in {args.out}, valid until {leaf.validity.not_after}")
         return EXIT_OK
 
     return run("cas-proxy-init", parser, argv, body)
@@ -150,15 +144,16 @@ def main_file(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cas-file", description="File operations through a capability")
     parser.add_argument("--resource", required=True, help="host:port of the file server")
-    parser.add_argument("--proxy", help=f"proxy file (default ${PROXY_ENV} or {DEFAULT_PROXY})")
-    parser.add_argument("--trust", help=f"trust store (default ${TRUST_ENV})")
+    parser.add_argument("--proxy", default=os.environ.get(PROXY_ENV) or DEFAULT_PROXY,
+                        help=f"proxy file (default ${PROXY_ENV} or {DEFAULT_PROXY})")
+    _add_trust(parser)
     parser.add_argument("--input", help="file to send for write (default stdin)")
     parser.add_argument("action", choices=("read", "write", "list"))
     parser.add_argument("path")
 
     def body(args) -> int:
-        chain, session_key = load_credential(_proxy_path(args.proxy))
-        anchors = load_trust_store(_trust_path(args.trust))
+        chain, session_key = load_credential(args.proxy)
+        anchors = load_trust_store(args.trust)
         payload = None
         if args.action == "write":
             if args.input:

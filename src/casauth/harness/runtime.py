@@ -24,25 +24,19 @@ from ..errors import CasError
 from ..policy.model import Action, ObjectPattern, PolicyDocument, Right
 from ..resourced.server import ResourceServer
 from ..resourced.storage import VirtualRoot
+from ..wire.server import AuthenticatedServer
 
 CLOCK_START = 1_000_000_000
 CERT_VALIDITY = ValidityInterval(0, 4_000_000_000)
-DEFAULT_BOOTSTRAP_ADMIN = "CN=admin"
+ADMIN_IDENTITY = "CN=admin"  # every spawned CAS's bootstrap administrator
 
 Credential = tuple[CertificateChain, Any]
 
 
 @dataclass
-class SpawnedCas:
-    server: CasServer
+class Spawned:
+    server: AuthenticatedServer
     ca_name: str
-
-
-@dataclass
-class SpawnedResource:
-    server: ResourceServer
-    ca_name: str
-    root: Path
 
 
 @dataclass
@@ -52,9 +46,9 @@ class Deployment:
     seed: int = 0
     clock: ManualClock = field(default_factory=lambda: ManualClock(CLOCK_START))
     authorities: dict[str, CertificateAuthority] = field(default_factory=dict)
-    cas_servers: dict[str, SpawnedCas] = field(default_factory=dict)
-    resources: dict[str, SpawnedResource] = field(default_factory=dict)
-    credentials: dict[str, Credential] = field(default_factory=dict)
+    cas_servers: dict[str, Spawned] = field(default_factory=dict)
+    resources: dict[str, Spawned] = field(default_factory=dict)
+    credentials: dict[tuple[str, str], Credential] = field(default_factory=dict)
 
     def __post_init__(self):
         self._rng = random.Random(self.seed)
@@ -70,31 +64,24 @@ class Deployment:
         return authority
 
     def spawn_cas(self, name: str, ca_name: str, identity: str,
-                  bootstrap_admin: str = DEFAULT_BOOTSTRAP_ADMIN,
-                  max_lifetime: int = DEFAULT_MAX_LIFETIME) -> SpawnedCas:
+                  max_lifetime: int = DEFAULT_MAX_LIFETIME) -> Spawned:
         if name in self.cas_servers:
             raise CasError(f"CAS {name!r} already spawned")
-        authority = self.authorities[ca_name]
-        chain, leaf_key = authority.issue_credential(identity, CERT_VALIDITY,
-                                                     rng=self._rng)
+        chain, leaf_key = self.user_credential(identity, ca_name)
         server = CasServer(
-            CommunityDB(), chain, leaf_key,
-            trust_store=frozenset({authority.certificate}),
-            bootstrap_admin=bootstrap_admin, max_lifetime=max_lifetime,
+            CommunityDB(), chain, leaf_key, trust_store=self.trust_store_of(ca_name),
+            bootstrap_admin=ADMIN_IDENTITY, max_lifetime=max_lifetime,
             db_path=str(Path(self._tmp.name) / f"{name}.db"),
             clock=self.clock).start()
-        spawned = SpawnedCas(server, ca_name)
-        self.cas_servers[name] = spawned
+        spawned = self.cas_servers[name] = Spawned(server, ca_name)
         return spawned
 
     def spawn_resource(self, name: str, ca_name: str, identity: str,
                        grants: dict[str, PolicyDocument],
-                       files: dict[str, bytes]) -> SpawnedResource:
+                       files: dict[str, bytes]) -> Spawned:
         if name in self.resources:
             raise CasError(f"resource {name!r} already spawned")
-        authority = self.authorities[ca_name]
-        chain, leaf_key = authority.issue_credential(identity, CERT_VALIDITY,
-                                                     rng=self._rng)
+        chain, leaf_key = self.user_credential(identity, ca_name)
         root = Path(self._tmp.name) / f"{name}-root"
         root.mkdir()
         vroot = VirtualRoot(root)
@@ -103,22 +90,20 @@ class Deployment:
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(content)
         server = ResourceServer(
-            grants, root, chain, leaf_key,
-            trust_store=frozenset({authority.certificate}),
+            grants, root, chain, leaf_key, trust_store=self.trust_store_of(ca_name),
             clock=self.clock).start()
-        spawned = SpawnedResource(server, ca_name, root)
-        self.resources[name] = spawned
+        spawned = self.resources[name] = Spawned(server, ca_name)
         return spawned
 
     # --- credentials --------------------------------------------------------------
 
-    def user_credential(self, user: str, identity: str, ca_name: str) -> Credential:
-        """Issue (once) a long-term credential for a scenario user."""
-        if user not in self.credentials:
-            authority = self.authorities[ca_name]
-            self.credentials[user] = authority.issue_credential(
+    def user_credential(self, identity: str, ca_name: str) -> Credential:
+        """The long-term credential ``ca_name`` issues ``identity``, issued once."""
+        key = (identity, ca_name)
+        if key not in self.credentials:
+            self.credentials[key] = self.authorities[ca_name].issue_credential(
                 identity, CERT_VALIDITY, rng=self._rng)
-        return self.credentials[user]
+        return self.credentials[key]
 
     def trust_store_of(self, ca_name: str) -> frozenset:
         return frozenset({self.authorities[ca_name].certificate})

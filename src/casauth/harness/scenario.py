@@ -14,11 +14,16 @@
     step file-op ftp1 cred=cap1 action=read path=/esg/data/t42.nc
     step assert-error expired
 
-Operations record their outcome ("ok", "deny", or an error kind, which is
-the failure's ``CasError.reason``); each
-assert step checks the most recent outcome and lands in the Report. User
-credentials are provisioned on first use, issued by the CA of the server
-the step talks to, so runs are reproducible from the seed alone.
+Every step but ``admin``, ``assert-permit`` and ``assert-deny`` takes one
+leading argument and then ``key=value`` options from its own fixed set;
+an unknown or repeated key is a ScenarioError, except that ``grant=`` and
+``file=`` may repeat. Operations record their outcome ("ok", "deny", or an
+error kind, which is the failure's ``CasError.reason``); each assert step
+checks the most recent outcome and lands in the Report. Each (identity,
+CA) pair gets one long-term credential, issued on first use by the CA of
+the server the step talks to, so runs are reproducible from the seed
+alone. Admin steps act as ``CN=admin``, every spawned CAS's bootstrap
+administrator.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from ..cli import nonnegative_int
 from ..client.api import acquire_capability, admin_command, file_op
 from ..errors import CasError, ParseError, Refused
 from ..policy.model import ALL
-from .runtime import DEFAULT_BOOTSTRAP_ADMIN, Deployment, make_policy
+from .runtime import ADMIN_IDENTITY, Deployment, make_policy
 
 STEP_VERBS = ("spawn-ca", "spawn-cas", "spawn-resource", "admin", "acquire",
               "file-op", "advance-clock", "assert-permit", "assert-deny",
@@ -97,16 +102,28 @@ def parse_script(text: str) -> list[ScenarioStep]:
     return steps
 
 
-def _options(args, index: int) -> dict[str, str]:
-    options: dict[str, str] = {}
-    for token in args:
+# options that may repeat; each comes back as a list of its values
+_REPEATABLE = ("grant", "file")
+
+
+def _options(step: ScenarioStep, keys: tuple[str, ...]) -> tuple[str, dict]:
+    """The step's leading name and its ``key=value`` options, each one of ``keys``."""
+    if not step.args:
+        raise ScenarioError(step.index, f"{step.verb} needs an argument")
+    options: dict = {}
+    for token in step.args[1:]:
         key, sep, value = token.partition("=")
         if not sep:
-            raise ScenarioError(index, f"expected key=value, got {token!r}")
-        if key in options:
-            raise ScenarioError(index, f"duplicate option {key!r}")
-        options[key] = value
-    return options
+            raise ScenarioError(step.index, f"expected key=value, got {token!r}")
+        if key not in keys:
+            raise ScenarioError(step.index, f"{step.verb} has no option {key!r}")
+        if key in _REPEATABLE:
+            options.setdefault(key, []).append(value)
+        elif key in options:
+            raise ScenarioError(step.index, f"duplicate option {key!r}")
+        else:
+            options[key] = value
+    return step.args[0], options
 
 
 def _seconds(step: ScenarioStep, what: str, value: str) -> int:
@@ -132,71 +149,58 @@ class _Runner:
 
     def run_step(self, step: ScenarioStep) -> None:
         handler = getattr(self, "_step_" + step.verb.replace("-", "_"))
-        handler(step)
+        try:
+            handler(step)
+        except ScenarioError:
+            raise
+        except (CasError, ValueError) as exc:
+            # the script's own input was bad: a pattern, a path, a second spawn
+            raise ScenarioError(step.index, f"{step.verb}: {exc}") from None
         self.report.steps_run += 1
 
-    def _step_spawn_ca(self, step: ScenarioStep) -> None:
-        if len(step.args) != 1:
-            raise ScenarioError(step.index, "spawn-ca takes one name")
-        self.deployment.spawn_ca(step.args[0])
-
-    def _step_spawn_cas(self, step: ScenarioStep) -> None:
-        if not step.args:
-            raise ScenarioError(step.index, "spawn-cas takes a name")
-        name, options = step.args[0], _options(step.args[1:], step.index)
+    def _ca(self, step: ScenarioStep, options: dict) -> str:
         ca = options.get("ca")
         if ca is None:
-            raise ScenarioError(step.index, "spawn-cas needs ca=<name>")
+            raise ScenarioError(step.index, f"{step.verb} needs ca=<name>")
         if ca not in self.deployment.authorities:
             raise ScenarioError(step.index, f"unknown CA {ca!r}")
+        return ca
+
+    def _step_spawn_ca(self, step: ScenarioStep) -> None:
+        name, _ = _options(step, ())
+        self.deployment.spawn_ca(name)
+
+    def _step_spawn_cas(self, step: ScenarioStep) -> None:
+        name, options = _options(step, ("ca", "identity", "max-lifetime"))
+        ca = self._ca(step, options)
         server_options = {}
         if "max-lifetime" in options:
             server_options["max_lifetime"] = _seconds(step, "max-lifetime",
                                                       options["max-lifetime"])
-        self.deployment.spawn_cas(
-            name, ca, options.get("identity", f"cas.{name}"),
-            bootstrap_admin=options.get("bootstrap-admin", DEFAULT_BOOTSTRAP_ADMIN),
-            **server_options)
+        self.deployment.spawn_cas(name, ca, options.get("identity", f"cas.{name}"),
+                                  **server_options)
 
     def _step_spawn_resource(self, step: ScenarioStep) -> None:
-        if not step.args:
-            raise ScenarioError(step.index, "spawn-resource takes a name")
-        name = step.args[0]
-        ca = identity = None
+        name, options = _options(step, ("ca", "identity", "grant", "file"))
+        ca = self._ca(step, options)
         grants: dict[str, list] = {}
+        for value in options.get("grant", ()):
+            grantor, sep, spec = value.rpartition("=")
+            parts = spec.split(":", 2)
+            if not sep or len(parts) != 3:
+                raise ScenarioError(
+                    step.index,
+                    f"grant must be <grantor>=<svc>:<act+act>:<pattern>, got {value!r}")
+            service, actions, pattern = parts
+            grants.setdefault(grantor, []).append((service, actions.split("+"), [pattern]))
         files: dict[str, bytes] = {}
-        for token in step.args[1:]:
-            key, sep, value = token.partition("=")
+        for value in options.get("file", ()):
+            path, sep, content = value.partition("=")
             if not sep:
-                raise ScenarioError(step.index, f"expected key=value, got {token!r}")
-            if key == "ca":
-                ca = value
-            elif key == "identity":
-                identity = value
-            elif key == "grant":
-                grantor, sep2, spec = value.rpartition("=")
-                parts = spec.split(":", 2)
-                if not sep2 or len(parts) != 3:
-                    raise ScenarioError(
-                        step.index,
-                        f"grant must be <grantor>=<svc>:<act+act>:<pattern>, got {token!r}")
-                service, actions, pattern = parts
-                grants.setdefault(grantor, []).append(
-                    (service, actions.split("+"), [pattern]))
-            elif key == "file":
-                path, sep2, content = value.partition("=")
-                if not sep2:
-                    raise ScenarioError(step.index,
-                                        f"file must be <path>=<content>, got {token!r}")
-                files[path] = content.encode("utf-8")
-            else:
-                raise ScenarioError(step.index, f"unknown option {key!r}")
-        if ca is None:
-            raise ScenarioError(step.index, "spawn-resource needs ca=<name>")
-        if ca not in self.deployment.authorities:
-            raise ScenarioError(step.index, f"unknown CA {ca!r}")
+                raise ScenarioError(step.index, f"file must be <path>=<content>, got {value!r}")
+            files[path] = content.encode("utf-8")
         table = {grantor: make_policy(spec) for grantor, spec in grants.items()}
-        self.deployment.spawn_resource(name, ca, identity or f"res.{name}",
+        self.deployment.spawn_resource(name, ca, options.get("identity", f"res.{name}"),
                                        table, files)
 
     def _cas(self, step: ScenarioStep, name: str):
@@ -209,23 +213,20 @@ class _Runner:
         if len(step.args) < 2:
             raise ScenarioError(step.index, "admin takes <cas> <verb> [args...]")
         spawned = self._cas(step, step.args[0])
-        chain, key = self.deployment.user_credential(
-            "__bootstrap__", DEFAULT_BOOTSTRAP_ADMIN, spawned.ca_name)
+        chain, key = self.deployment.user_credential(ADMIN_IDENTITY, spawned.ca_name)
         self._record(lambda: admin_command(
             spawned.server.address, chain, key, step.args[1], step.args[2:],
             trust_store=self.deployment.trust_store_of(spawned.ca_name),
             clock=self.deployment.clock))
 
     def _step_acquire(self, step: ScenarioStep) -> None:
-        if not step.args:
-            raise ScenarioError(step.index, "acquire takes a handle name")
-        handle, options = step.args[0], _options(step.args[1:], step.index)
+        handle, options = _options(step, ("cas", "user", "identity", "lifetime"))
         spawned = self._cas(step, options.get("cas", ""))
         user = options.get("user")
         if not user:
             raise ScenarioError(step.index, "acquire needs user=<name>")
-        identity = options.get("identity", f"CN={user}")
-        chain, key = self.deployment.user_credential(user, identity, spawned.ca_name)
+        chain, key = self.deployment.user_credential(
+            options.get("identity", f"CN={user}"), spawned.ca_name)
         lifetime = _seconds(step, "lifetime", options.get("lifetime", "3600"))
 
         def action():
@@ -238,17 +239,14 @@ class _Runner:
         self._record(action)
 
     def _step_file_op(self, step: ScenarioStep) -> None:
-        if not step.args:
-            raise ScenarioError(step.index, "file-op takes a resource name")
-        name, options = step.args[0], _options(step.args[1:], step.index)
+        name, options = _options(step, ("cred", "identity", "action", "path", "data"))
         spawned = self.deployment.resources.get(name)
         if spawned is None:
             raise ScenarioError(step.index, f"unknown resource {name!r}")
         cred = options.get("cred", "")
         if cred.startswith("user:"):
-            user = cred[len("user:"):]
             chain, key = self.deployment.user_credential(
-                user, options.get("identity", f"CN={user}"), spawned.ca_name)
+                options.get("identity", "CN=" + cred[len("user:"):]), spawned.ca_name)
         elif cred in self.capabilities:
             chain, key = self.capabilities[cred]
         else:
@@ -262,9 +260,8 @@ class _Runner:
             clock=self.deployment.clock))
 
     def _step_advance_clock(self, step: ScenarioStep) -> None:
-        if len(step.args) != 1:
-            raise ScenarioError(step.index, "advance-clock takes seconds")
-        self.deployment.clock.advance(_seconds(step, "advance-clock", step.args[0]))
+        seconds, _ = _options(step, ())
+        self.deployment.clock.advance(_seconds(step, "advance-clock", seconds))
 
     # --- assertions -------------------------------------------------------------
 
@@ -273,8 +270,7 @@ class _Runner:
         outcome = self.last_outcome
         if outcome is None:
             raise ScenarioError(step.index, "nothing to assert on")
-        matched = (outcome == expected if expected[0] != "error"
-                   else outcome[0] == "error" and outcome[1] == expected[1])
+        matched = outcome == expected
         detail = "" if matched else f"expected {expected}, got {outcome}"
         self.report.assertions.append(
             AssertionOutcome(step.index, description, matched, detail))
@@ -286,9 +282,8 @@ class _Runner:
         self._assert(step, ("deny",), "operation denied")
 
     def _step_assert_error(self, step: ScenarioStep) -> None:
-        if len(step.args) != 1:
-            raise ScenarioError(step.index, "assert-error takes an error kind")
-        self._assert(step, ("error", step.args[0]), f"operation fails: {step.args[0]}")
+        kind, _ = _options(step, ())
+        self._assert(step, ("error", kind), f"operation fails: {kind}")
 
     def _record(self, action) -> None:
         try:

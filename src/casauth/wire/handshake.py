@@ -100,11 +100,11 @@ def server_handshake(sock: socket.socket, chain: CertificateChain, leaf_key: Any
 
 
 def client_handshake(sock: socket.socket, chain: CertificateChain, leaf_key: Any,
-                     trust_store, now: int,
-                     ctx: EnforcementContext | None = None) -> VerifiedSubject:
-    """Run the client side; returns the verified server subject."""
-    if ctx is None:
-        ctx = EnforcementContext()
+                     trust_store, now: int) -> VerifiedSubject:
+    """Run the client side; returns the verified server subject.
+
+    The client enforces no restrictions, so it refuses a restricted server chain.
+    """
     client_nonce = _nonce()
     send_message(sock, {
         "msg": "HELLO",
@@ -117,7 +117,7 @@ def client_handshake(sock: socket.socket, chain: CertificateChain, leaf_key: Any
         server_chain = decode_chain(_hex_bytes(challenge, "chain"))
     except CasError as exc:
         raise HandshakeError(f"undecodable server chain: {exc}") from None
-    peer = verify_chain(server_chain, trust_store, now, ctx)
+    peer = verify_chain(server_chain, trust_store, now, EnforcementContext())
     sig = _hex_bytes(challenge, "sig")
     if not DEFAULT_SCHEME.verify(peer.leaf_public_key, client_nonce + server_nonce, sig):
         raise HandshakeError("server failed proof of possession")

@@ -83,10 +83,10 @@ class AuthenticatedServer:
         return self
 
     def serve_forever(self) -> None:
-        """Serve until SIGINT, the signal that stops a server, interrupts the wait."""
-        if self._tcp is None:
-            self.start()
-        assert self._thread is not None
+        """Serve until SIGINT, the signal that stops a server, interrupts the wait.
+
+        Call ``start`` first.
+        """
         try:
             self._thread.join()
         except KeyboardInterrupt:

@@ -88,6 +88,18 @@ def test_wildcard_grant_covers_all_groups(db):
                            BOOTSTRAP)
 
 
+@pytest.mark.parametrize("command", [cmd("create-group", "user", "proj*"),
+                                     cmd("group-add", "proj*", "alice")],
+                         ids=["create-group", "group-add"])
+@pytest.mark.parametrize("actor", [BOOTSTRAP, "CN=pi"], ids=["bootstrap", "delegated"])
+def test_bad_group_name_is_refused_alike_for_every_actor(db, actor, command):
+    db = bootstrap_apply(db,
+                         cmd("grant", "user:pi", "pattern:*", "cas", "create-group"),
+                         cmd("grant", "user:pi", "pattern:*", "cas", "group-add"))
+    with pytest.raises(InvariantViolation, match="bad group name 'proj\\*'"):
+        apply_admin(db, actor, command, BOOTSTRAP)
+
+
 def test_enroll_then_group_add(db):
     db = bootstrap_apply(db, cmd("group-add", "proj-climate", "alice"))
     assert "alice" in db.user_groups["proj-climate"]

@@ -156,6 +156,22 @@ def test_usage_errors_exit_5(cli_world):
     assert main_proxy_init(["--cas", cli_world["cas"]]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("main, argv", [
+    (main_file, ["--resource", "127.0.0.1:1", "read", "/x"]),
+    (main_admin, ["--cas", "127.0.0.1:1", "--cred", "c", "enroll-user", "a", "CN=a"]),
+    (main_proxy_init, ["--cas", "127.0.0.1:1", "--cred", "c", "--all"]),
+], ids=["cas-file", "cas-admin", "cas-proxy-init"])
+@pytest.mark.parametrize("env", [None, ""], ids=["unset", "empty"])
+def test_missing_trust_store_is_a_usage_error(main, argv, env, monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv("CAS_TRUST_STORE", raising=False)
+    else:
+        monkeypatch.setenv("CAS_TRUST_STORE", env)
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    assert "--trust" in capsys.readouterr().err
+
+
 CLIENT_NUMBER_FLAGS = {
     "proxy-init-lifetime": (main_proxy_init, "--lifetime", lambda d: [
         "--cas", "127.0.0.1:1", "--cred", d + "/absent", "--all", "--out", d + "/p"]),
@@ -287,11 +303,14 @@ def cli_files(tmp_path):
     save_grant_table(grants, {"CN=u": make_policy([("file", ["read"], ["/*"])])})
     not_utf8 = tmp_path / "not-utf8"
     not_utf8.write_bytes(b"listen: \xff\n")
+    bad_grant = tmp_path / "bad-grant.scenario"
+    bad_grant.write_text("step spawn-ca alpha\n"
+                         "step spawn-resource r ca=alpha grant=g=file:read:/a*b\n")
     busy = socket.socket()
     busy.bind(("127.0.0.1", 0))
     busy.listen()
     yield {"tmp": str(tmp_path), "cred": str(cred), "trust": str(anchor),
-           "grants": str(grants), "not_utf8": str(not_utf8),
+           "grants": str(grants), "not_utf8": str(not_utf8), "bad_grant": str(bad_grant),
            "busy": f"127.0.0.1:{busy.getsockname()[1]}"}
     busy.close()
 
@@ -334,6 +353,7 @@ CLI_FAILURES = {
         "--resource", "127.0.0.1:1", "--proxy", f["cred"],
         "--input", f["tmp"] + "/absent", "write", "/x"]),
     "scenario-not-utf8": ("cas-scenario", _scenario, lambda f: ["run", f["not_utf8"]]),
+    "scenario-bad-grant": ("cas-scenario", _scenario, lambda f: ["run", f["bad_grant"]]),
     "casd-port-in-use": ("casd", _casd, lambda f: ["--listen", f["busy"]],
                          EXIT_TRANSPORT),
     "resourced-port-in-use": ("cas-resourced", _resourced, lambda f: [
@@ -348,6 +368,32 @@ def test_command_failure_is_one_line_not_a_traceback(case, cli_files, capsys):
     assert main(cli_files, *argv(cli_files)) == (code[0] if code else EXIT_ERROR)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"{prog}: "), err
+
+
+def test_sighup_reloads_a_valid_grant_table_and_keeps_the_old_on_failure(
+        cli_files, monkeypatch, caplog):
+    import signal
+
+    handlers, servers = {}, []
+    monkeypatch.setattr(signal, "signal",
+                        lambda signum, handler: handlers.__setitem__(signum, handler))
+    monkeypatch.setattr(ResourceServer, "start", lambda self: self)
+    monkeypatch.setattr(ResourceServer, "serve_forever", lambda self: servers.append(self))
+    assert _resourced(cli_files) == EXIT_OK
+    [server] = servers
+    reload_grants = handlers[signal.SIGHUP]
+    assert server._table == load_grant_table(cli_files["grants"])
+
+    new = {"CN=v": make_policy([("file", ["list"], ["/v/*"])])}
+    save_grant_table(cli_files["grants"], new)
+    reload_grants(signal.SIGHUP, None)
+    assert server._table == new
+
+    Path(cli_files["grants"]).write_text("grantor: CN=w\nnot a field\n")
+    caplog.set_level("INFO", logger="casauth.resourced")
+    reload_grants(signal.SIGHUP, None)
+    assert server._table == new
+    assert "grant table reload failed, keeping the old one" in caplog.text
 
 
 # --- casd's flags are its whole configuration -------------------------------------

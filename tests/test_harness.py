@@ -134,7 +134,7 @@ def test_scenario_mode_uses_only_the_injected_clock():
         deployment.spawn_ca("alpha")
         deployment.spawn_cas("esg", "alpha", "cas.esg")
         spawned = deployment.cas_servers["esg"]
-        chain, key = deployment.user_credential("admin-cred", "CN=admin", "alpha")
+        chain, key = deployment.user_credential("CN=admin", "alpha")
         admin_command(spawned.server.address, chain, key, "enroll-user",
                       ["alice", "CN=alice"],
                       trust_store=deployment.trust_store_of("alpha"),
@@ -143,8 +143,7 @@ def test_scenario_mode_uses_only_the_injected_clock():
                       ["user:alice", "pattern:/esg/*", "file", "read"],
                       trust_store=deployment.trust_store_of("alpha"),
                       clock=deployment.clock)
-        user_chain, user_key = deployment.user_credential("alice", "CN=alice",
-                                                          "alpha")
+        user_chain, user_key = deployment.user_credential("CN=alice", "alpha")
         capability, _ = acquire_capability(
             spawned.server.address, user_chain, user_key, ALL, 3600,
             trust_store=deployment.trust_store_of("alpha"),
@@ -199,5 +198,83 @@ step admin esg enroll-user alice CN=alice
 step assert-error duplicate-name
 step admin esg unenroll-user nobody
 step assert-error unknown-name
+"""))
+    assert report.ok, report.lines()
+
+
+# --- one option grammar ---------------------------------------------------------
+
+SPAWNED = ("step spawn-ca alpha\n"
+           "step spawn-cas esg ca=alpha\n"
+           "step spawn-resource ftp1 ca=alpha grant=cas.esg=file:read:/esg/*\n"
+           "step acquire cap1 cas=esg user=alice\n")
+
+
+@pytest.mark.parametrize("line", [
+    "step spawn-cas other ca=alpha bootstrap-admin=CN=root",
+    "step spawn-resource ftp2 ca=alpha grnat=cas.esg=file:read:/esg/*",
+    "step acquire cap2 cas=esg user=alice lifetme=10",
+    "step file-op ftp1 cred=cap1 action=read path=/esg/a paht=/esg/b",
+], ids=["spawn-cas", "spawn-resource", "acquire", "file-op"])
+def test_unknown_option_names_the_step(line):
+    with pytest.raises(ScenarioError) as info:
+        run_scenario(parse_script(SPAWNED + line + "\n"))
+    assert info.value.step_index == 4
+    assert "has no option" in str(info.value)
+
+
+def test_spawn_resource_refuses_a_repeated_ca():
+    with pytest.raises(ScenarioError) as info:
+        run_scenario(parse_script("step spawn-ca alpha\nstep spawn-ca beta\n"
+                                  "step spawn-resource ftp1 ca=alpha ca=beta\n"))
+    assert info.value.step_index == 2
+    assert "duplicate option 'ca'" in str(info.value)
+
+
+@pytest.mark.parametrize("line, text", [
+    ("step spawn-ca alpha", "already spawned"),
+    ("step spawn-resource ftp1 ca=alpha grant=g=file:read:/a*b", "/a*b"),
+    ("step spawn-resource ftp1 ca=alpha file=relative/path=x", "relative/path"),
+], ids=["duplicate-spawn", "bad-grant-pattern", "relative-file"])
+def test_bad_script_input_names_the_step(line, text):
+    with pytest.raises(ScenarioError) as info:
+        run_scenario(parse_script("step spawn-ca alpha\n" + line + "\n"))
+    assert info.value.step_index == 1
+    assert text in str(info.value)
+
+
+# --- one credential per identity and CA ------------------------------------------
+
+def test_one_user_holds_a_credential_from_each_ca():
+    report = run_scenario(parse_script("""
+step spawn-ca alpha
+step spawn-ca beta
+step spawn-cas esg ca=alpha
+step spawn-cas ocean ca=beta
+step admin esg enroll-user alice CN=alice
+step assert-permit
+step admin esg grant user:alice pattern:/esg/* file read
+step admin ocean enroll-user alice CN=alice
+step assert-permit
+step admin ocean grant user:alice pattern:/ocean/* file read
+step acquire a cas=esg user=alice
+step assert-permit
+step acquire b cas=ocean user=alice
+step assert-permit
+"""))
+    assert report.ok, report.lines()
+
+
+def test_identity_option_picks_the_credential():
+    report = run_scenario(parse_script("""
+step spawn-ca alpha
+step spawn-cas esg ca=alpha
+step admin esg enroll-user alice CN=alice
+step admin esg enroll-user alice2 CN=alice2
+step admin esg grant user:alice2 pattern:/esg/* file read
+step acquire a cas=esg user=alice
+step assert-deny
+step acquire b cas=esg user=alice identity=CN=alice2
+step assert-permit
 """))
     assert report.ok, report.lines()
