@@ -11,7 +11,8 @@ An absent ``lifetime`` asks for the server's cap (``--max-lifetime``).
 Replies are OK (grant adds ``id``), CAPABILITY (``chain``), DENIED
 (``reason``: not-authorized, unknown-actor, denied, not-enrolled,
 restricted-chain), or ERROR (``reason``: duplicate-name, unknown-name,
-invariant, parse, expired, bad-request, internal). Mutations run under
+invariant, parse for a field that is missing or does not decode, expired,
+bad-request for another message type, internal). Mutations run under
 one writer lock, and the snapshot is rewritten after each mutation, so a
 crash can lose at most the command being applied. Each mutation publishes
 a new database by swapping one reference, so issuance reads the published
@@ -26,10 +27,12 @@ import socket
 import threading
 from typing import Any, Callable
 
+from ..cli import nonnegative_int
 from ..credential.certs import CertificateChain, encode_chain
 from ..credential.verify import VerifiedSubject
 from ..clocks import system_clock
 from ..errors import ParseError, RestrictedAuthRefused
+from ..lines import field
 from ..policy.model import ALL
 from ..policy.text import parse_policy
 from ..wire.frames import serve_messages
@@ -46,7 +49,7 @@ class CasServer(AuthenticatedServer):
     name = "casd"
     logger = logging.getLogger("casauth.casd")
     error_reasons = frozenset({"duplicate-name", "unknown-name", "invariant", "parse",
-                               "expired"})
+                               "expired", "bad-request"})
 
     def __init__(self, db: CommunityDB, chain: CertificateChain, leaf_key: Any,
                  *, trust_store, db_path: str,
@@ -70,30 +73,15 @@ class CasServer(AuthenticatedServer):
                                    self._trust_store, self._ctx, self._clock())
         serve_messages(sock, lambda message: self._reply(message, subject))
 
-    def _dispatch(self, message: dict[str, str],
-                  subject: VerifiedSubject) -> dict[str, str]:
-        kind = message["msg"]
-        try:
-            if kind == "ADMIN":
-                return self._handle_admin(message, subject)
-            if kind == "REQUEST-CAPABILITY":
-                return self._handle_capability(message, subject)
-            return {"msg": "ERROR", "reason": "bad-request"}
-        except (ValueError, TypeError) as exc:
-            self.logger.info("%s from %s malformed: %s", kind, subject.identity, exc)
-            return {"msg": "ERROR", "reason": "bad-request"}
-
     def _handle_admin(self, message: dict[str, str],
                       subject: VerifiedSubject) -> dict[str, str]:
         if subject.restrictions:
             # A capability must not be launderable into admin authority.
             raise RestrictedAuthRefused("admin requires an unrestricted credential")
-        if "verb" not in message:
-            raise ParseError("ADMIN needs a verb")
         # The client joins arguments with single spaces, so splitting on each
         # one gives back an identity's own runs of whitespace.
         args = message.get("args", "")
-        cmd = AdminCommand(message["verb"], tuple(args.split(" ")) if args else ())
+        cmd = AdminCommand(field(message, "verb", str), tuple(args.split(" ")) if args else ())
         with self._write_lock:
             granted_id = self._db.next_statement_id if cmd.verb == "grant" else None
             new_db = apply_admin(self._db, subject.identity, cmd, self._bootstrap_admin)
@@ -107,18 +95,21 @@ class CasServer(AuthenticatedServer):
     def _handle_capability(self, message: dict[str, str],
                            subject: VerifiedSubject) -> dict[str, str]:
         if "policy" in message:
-            requested = parse_policy(bytes.fromhex(message["policy"]))
+            requested = parse_policy(field(message, "policy", bytes.fromhex))
         elif message.get("want") == "all":
             requested = ALL
         else:
             raise ParseError("REQUEST-CAPABILITY needs want: all or policy: <hex>")
-        session_pk = bytes.fromhex(message.get("session-pk", ""))
+        session_pk = field(message, "session-pk", bytes.fromhex)
         if not session_pk:
             raise ParseError("REQUEST-CAPABILITY needs session-pk")
-        lifetime = int(message.get("lifetime", str(self._issuer.max_lifetime)), 10)
+        lifetime = (field(message, "lifetime", nonnegative_int) if "lifetime" in message
+                    else self._issuer.max_lifetime)
         capability = self._issuer.request_capability(
             self._db, subject, session_pk, requested, lifetime, self._clock())
         return {"msg": "CAPABILITY", "chain": encode_chain(capability).hex()}
+
+    handlers = {"ADMIN": _handle_admin, "REQUEST-CAPABILITY": _handle_capability}
 
 
 def serve(db: CommunityDB, listen_endpoint: tuple[str, int],

@@ -13,6 +13,7 @@ from ..clocks import system_clock
 from ..credential.certs import CertificateChain, decode_chain
 from ..credential.keys import DEFAULT_SCHEME
 from ..errors import REPLY_ERRORS, Denied, ProtocolError
+from ..lines import field, split_lines
 from ..policy.model import ALL, PolicyDocument
 from ..policy.text import serialize_policy
 from .session import ClientSession
@@ -62,7 +63,7 @@ def acquire_capability(cas_endpoint: tuple[str, int], user_chain: CertificateCha
         reply = expect_reply(
             session.request(capability_request_fields(want, session_pk, lifetime)),
             "CAPABILITY")
-    chain = decode_chain(bytes.fromhex(reply["chain"]))
+    chain = decode_chain(field(reply, "chain", bytes.fromhex))
     return chain, session_key
 
 
@@ -82,10 +83,10 @@ def file_op(resource_endpoint: tuple[str, int], capability_chain: CertificateCha
                        trust_store, clock=clock) as session:
         reply = expect_reply(session.request(fields), "OK")
     if action == "read":
-        return bytes.fromhex(reply.get("data", ""))
+        return field(reply, "data", bytes.fromhex)
     if action == "list":
-        data = bytes.fromhex(reply.get("data", "")).decode("utf-8")
-        return data.split("\n") if data else []
+        names = field(reply, "data", bytes.fromhex)
+        return split_lines(names + b"\n") if names else []
     return None
 
 

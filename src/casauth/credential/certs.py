@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from ..errors import MissingField, ParseError
 from ..lines import (
+    field,
     join_blocks,
     join_lines,
     key_values,
@@ -44,8 +45,6 @@ KIND_IDENTITY = "identity"
 KIND_PROXY = "proxy"
 KINDS = (KIND_TRUST_ANCHOR, KIND_IDENTITY, KIND_PROXY)
 
-_REQUIRED_KEYS = ("serial", "kind", "subject", "issuer", "subject-pk",
-                  "not-before", "not-after")
 _POLICY_KEYS = ("policy-lang", "policy-body", "policy-critical")
 
 
@@ -167,52 +166,33 @@ def encode_certificate(cert: Certificate) -> bytes:
     return certificate_body(cert) + join_lines([f"sig: {cert.signature.hex()}"])
 
 
-def _int_field(fields: dict[str, str], key: str) -> int:
-    try:
-        return int(fields[key], 10)
-    except ValueError:
-        raise ParseError(f"field {key!r} is not a decimal integer") from None
-
-
-def _hex_field(fields: dict[str, str], key: str) -> bytes:
-    try:
-        return bytes.fromhex(fields[key])
-    except ValueError:
-        raise ParseError(f"field {key!r} is not valid hex") from None
-
-
 def _certificate_from_lines(lines: list[str], first_line: int) -> Certificate:
     # Only the fields are read here; the final re-encoding comparison
     # refuses unknown fields, field order and any other non-canonical form.
     fields = key_values(lines, first_line)
-    for key in _REQUIRED_KEYS + ("sig",):
-        if key not in fields:
-            raise MissingField(f"missing field {key!r}")
-
-    policy_present = [k for k in _POLICY_KEYS if k in fields]
     restriction = None
-    if policy_present:
+    if any(key in fields for key in _POLICY_KEYS):
         for key in _POLICY_KEYS:
             if key not in fields:
                 raise MissingField(f"missing field {key!r}")
         try:
             restriction = RestrictionPolicy(fields["policy-lang"],
-                                            _hex_field(fields, "policy-body"))
+                                            field(fields, "policy-body", bytes.fromhex))
         except ValueError as exc:
             raise ParseError(str(exc)) from None
 
     try:
         cert = Certificate(
-            serial=_int_field(fields, "serial"),
-            subject_name=fields["subject"],
-            issuer_name=fields["issuer"],
-            subject_public_key=_hex_field(fields, "subject-pk"),
-            validity=ValidityInterval(_int_field(fields, "not-before"),
-                                      _int_field(fields, "not-after")),
-            kind=fields["kind"],
+            serial=field(fields, "serial", int),
+            subject_name=field(fields, "subject", str),
+            issuer_name=field(fields, "issuer", str),
+            subject_public_key=field(fields, "subject-pk", bytes.fromhex),
+            validity=ValidityInterval(field(fields, "not-before", int),
+                                      field(fields, "not-after", int)),
+            kind=field(fields, "kind", str),
             restriction=restriction,
             proxy_group=fields.get("proxy-group"),
-            signature=_hex_field(fields, "sig"),
+            signature=field(fields, "sig", bytes.fromhex),
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from None

@@ -180,8 +180,14 @@ class ProtocolError(CasError):
     reason = "protocol"
 
 
+class BadRequest(CasError):
+    """An authenticated message of a type the server does not answer."""
+
+    reason = "bad-request"
+
+
 # The class a client raises for each reason a server replies with.
 REPLY_ERRORS: dict[str, type[CasError]] = {cls.reason: cls for cls in (
     Denied, NotAuthorized, UnknownActor, NotEnrolled, RestrictedAuthRefused,
     DuplicateName, UnknownName, InvariantViolation, ParseError, Expired,
-    NotFound, IsDirectory, NotDirectory, PathEscape, IoError)}
+    NotFound, IsDirectory, NotDirectory, PathEscape, IoError, BadRequest)}

@@ -21,9 +21,9 @@ from ..clocks import ManualClock
 from ..credential.certs import CertificateChain, ValidityInterval
 from ..credential.issue import CertificateAuthority
 from ..errors import CasError
-from ..policy.model import Action, ObjectPattern, PolicyDocument, Right
+from ..policy.model import Action, ObjectPattern, PolicyDocument, Request, Right
 from ..resourced.server import ResourceServer
-from ..resourced.storage import VirtualRoot
+from ..resourced.storage import VirtualRoot, handle_file_op
 from ..wire.server import AuthenticatedServer
 
 CLOCK_START = 1_000_000_000
@@ -86,9 +86,7 @@ class Deployment:
         root.mkdir()
         vroot = VirtualRoot(root)
         for object_path, content in files.items():
-            target = vroot.resolve(object_path)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(content)
+            handle_file_op(vroot, Request("file", "write", object_path), content)
         server = ResourceServer(
             grants, root, chain, leaf_key, trust_store=self.trust_store_of(ca_name),
             clock=self.clock).start()

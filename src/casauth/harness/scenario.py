@@ -14,16 +14,19 @@
     step file-op ftp1 cred=cap1 action=read path=/esg/data/t42.nc
     step assert-error expired
 
-Every step but ``admin``, ``assert-permit`` and ``assert-deny`` takes one
-leading argument and then ``key=value`` options from its own fixed set;
-an unknown or repeated key is a ScenarioError, except that ``grant=`` and
-``file=`` may repeat. Operations record their outcome ("ok", "deny", or an
-error kind, which is the failure's ``CasError.reason``); each assert step
-checks the most recent outcome and lands in the Report. Each (identity,
-CA) pair gets one long-term credential, issued on first use by the CA of
-the server the step talks to, so runs are reproducible from the seed
-alone. Admin steps act as ``CN=admin``, every spawned CAS's bootstrap
-administrator.
+``assert-permit`` and ``assert-deny`` take no arguments. Every other step
+but ``admin`` takes one leading argument and then ``key=value`` options
+from its own fixed set; an unknown or repeated key is a ScenarioError,
+except that ``grant=`` and ``file=`` may repeat, though not one ``file=``
+path twice. ``identity=`` picks the credential of a ``cred=user:`` file-op,
+and goes with no other ``cred=``. Files are seeded through the resource's
+own storage, so a path it refuses is the step's error. Operations record
+their outcome ("ok", "deny", or an error kind, which is the failure's
+``CasError.reason``); each assert step checks the most recent outcome and
+lands in the Report. Each (identity, CA) pair gets one long-term
+credential, issued on first use by the CA of the server the step talks
+to, so runs are reproducible from the seed alone. Admin steps act as
+``CN=admin``, every spawned CAS's bootstrap administrator.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from ..cli import nonnegative_int
 from ..client.api import acquire_capability, admin_command, file_op
 from ..errors import CasError, ParseError, Refused
 from ..policy.model import ALL
+from ..resourced.storage import canonical_name
 from .runtime import ADMIN_IDENTITY, Deployment, make_policy
 
 STEP_VERBS = ("spawn-ca", "spawn-cas", "spawn-resource", "admin", "acquire",
@@ -134,6 +138,12 @@ def _seconds(step: ScenarioStep, what: str, value: str) -> int:
                                         f"of seconds, got {value!r}") from None
 
 
+def _no_arguments(step: ScenarioStep) -> None:
+    if step.args:
+        raise ScenarioError(step.index, f"{step.verb} takes no arguments, "
+                                        f"got {' '.join(step.args)!r}")
+
+
 def _outcome_of(exc: CasError) -> tuple[str, ...]:
     return ("deny",) if isinstance(exc, Refused) else ("error", exc.reason)
 
@@ -198,7 +208,10 @@ class _Runner:
             path, sep, content = value.partition("=")
             if not sep:
                 raise ScenarioError(step.index, f"file must be <path>=<content>, got {value!r}")
-            files[path] = content.encode("utf-8")
+            object_name = canonical_name(path)
+            if object_name in files:
+                raise ScenarioError(step.index, f"file {path!r} seeded twice")
+            files[object_name] = content.encode("utf-8")
         table = {grantor: make_policy(spec) for grantor, spec in grants.items()}
         self.deployment.spawn_resource(name, ca, options.get("identity", f"res.{name}"),
                                        table, files)
@@ -248,6 +261,9 @@ class _Runner:
             chain, key = self.deployment.user_credential(
                 options.get("identity", "CN=" + cred[len("user:"):]), spawned.ca_name)
         elif cred in self.capabilities:
+            if "identity" in options:
+                raise ScenarioError(step.index, "identity= goes with cred=user:<name>, "
+                                                f"not capability {cred!r}")
             chain, key = self.capabilities[cred]
         else:
             raise ScenarioError(step.index, f"unknown credential {cred!r}")
@@ -276,9 +292,11 @@ class _Runner:
             AssertionOutcome(step.index, description, matched, detail))
 
     def _step_assert_permit(self, step: ScenarioStep) -> None:
+        _no_arguments(step)
         self._assert(step, ("ok",), "operation permitted")
 
     def _step_assert_deny(self, step: ScenarioStep) -> None:
+        _no_arguments(step)
         self._assert(step, ("deny",), "operation denied")
 
     def _step_assert_error(self, step: ScenarioStep) -> None:

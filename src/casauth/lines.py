@@ -11,8 +11,9 @@ embedded record names its line in the whole file.
 from __future__ import annotations
 
 import os
+from typing import Any, Callable
 
-from .errors import DuplicateField, IoError, IsDirectory, ParseError
+from .errors import DuplicateField, IoError, IsDirectory, MissingField, ParseError
 
 SEPARATOR = "----"
 # Every temp file write_file makes is named with this prefix, and no object
@@ -47,6 +48,16 @@ def key_values(lines: list[str], first_line: int = 1) -> dict[str, str]:
             raise DuplicateField(f"duplicate field {key!r}", line=i)
         fields[key] = value
     return fields
+
+
+def field(fields: dict[str, str], key: str, decode: Callable[[str], Any]) -> Any:
+    """decode(fields[key]): MissingField if absent, ParseError naming key on ValueError."""
+    if key not in fields:
+        raise MissingField(f"missing field {key!r}")
+    try:
+        return decode(fields[key])
+    except ValueError as exc:
+        raise ParseError(f"field {key!r}: {exc}") from None
 
 
 def split_blocks(lines: list[str]) -> list[tuple[int, list[str]]]:

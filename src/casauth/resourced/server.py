@@ -7,7 +7,8 @@ One post-handshake message type:
 
 Replies: OK (``data`` for read, newline-joined names for list), DENIED
 (always just ``reason: denied``; the grant table must not leak through
-error detail), or ERROR with a machine reason. The handshake runs with
+error detail), or ERROR with a machine reason: ``parse`` for a field that
+does not decode or a write without ``data``. The handshake runs with
 willingness to enforce restrictions, so capabilities verify here and
 their policies bound what the bearer can do. Both policies are checked
 against the canonical object name, the one storage opens, so dot
@@ -23,6 +24,8 @@ from typing import Any, Callable
 
 from ..clocks import system_clock
 from ..credential.certs import CertificateChain
+from ..errors import Denied, ParseError
+from ..lines import field
 from ..policy.engine import EvaluatorRegistry
 from ..policy.model import Request
 from ..wire.frames import serve_messages
@@ -38,7 +41,7 @@ class ResourceServer(AuthenticatedServer):
     name = "resourced"
     logger = logging.getLogger("casauth.resourced")
     error_reasons = frozenset({"not-found", "is-directory", "not-directory",
-                               "path-escape", "io", "parse", "expired"})
+                               "path-escape", "io", "parse", "expired", "bad-request"})
 
     def __init__(self, table: LocalGrantTable, root: Path | str,
                  chain: CertificateChain, leaf_key: Any,
@@ -59,23 +62,18 @@ class ResourceServer(AuthenticatedServer):
                                    self._trust_store, self._ctx, self._clock())
         serve_messages(sock, lambda message: self._reply(message, subject))
 
-    def _dispatch(self, message, subject) -> dict[str, str]:
-        if message["msg"] != "FILE-OP":
-            return {"msg": "ERROR", "reason": "bad-request"}
+    def _handle_file_op(self, message: dict[str, str], subject) -> dict[str, str]:
+        action = message.get("action", "")
+        payload = field(message, "data", bytes.fromhex) if "data" in message else None
         try:
-            action = message.get("action", "")
-            path = message.get("path", "")
-            service = message.get("service", "file")
-            payload = bytes.fromhex(message["data"]) if "data" in message else None
-            req = Request(service, action, canonical_name(path))
-            if action == "write" and payload is None:
-                raise ValueError("a write needs data")
-        except ValueError:
-            return {"msg": "ERROR", "reason": "parse"}
-
+            req = Request(message.get("service", "file"), action,
+                          canonical_name(message.get("path", "")))
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
+        if action == "write" and payload is None:
+            raise ParseError("a write needs data")
         if not authorize(self._table, subject, self._registry, req, self._evaluators):
-            self.logger.info("denied %s %s for %s", action, req.object, subject.identity)
-            return {"msg": "DENIED", "reason": "denied"}
+            raise Denied(f"{action} {req.object} not allowed")
         # storage writes a temp file and renames it over the name, so
         # concurrent writes and reads of one name need no lock here
         result = handle_file_op(self._root, req, payload)
@@ -86,3 +84,5 @@ class ResourceServer(AuthenticatedServer):
         elif action == "list":
             reply["data"] = "\n".join(result).encode("utf-8").hex()
         return reply
+
+    handlers = {"FILE-OP": _handle_file_op}

@@ -50,12 +50,24 @@ class VirtualRoot:
         return Path(self.root).joinpath(*canonical_name(object_path).split("/"))
 
 
+def _nameable(name: str) -> bool:
+    if name.startswith(TEMP_PREFIX):
+        return False
+    try:
+        name.encode("utf-8")  # undecodable bytes come back as lone surrogates
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def handle_file_op(root: VirtualRoot, req: Request,
                    payload: bytes | None = None):
     """Execute an already-authorized file request.
 
-    read returns bytes, list returns sorted child names, write stores the
-    payload durably and atomically, as a file of mode 0600, and returns None.
+    read returns bytes, list returns the sorted names of the children a
+    request can name, which leaves out temp files and names that are not
+    UTF-8, and write stores the payload durably and atomically, as a file
+    of mode 0600, and returns None.
     Nothing is created outside the root: a write of the root itself raises
     IsDirectory before anything is made. A name under a file raises
     NotDirectory for every action.
@@ -65,8 +77,7 @@ def handle_file_op(root: VirtualRoot, req: Request,
         if req.action_name == "read":
             return path.read_bytes()
         if req.action_name == "list":
-            return sorted(p.name for p in path.iterdir()
-                          if not p.name.startswith(TEMP_PREFIX))
+            return sorted(p.name for p in path.iterdir() if _nameable(p.name))
         if req.action_name == "write":
             if path == Path(root.root):
                 raise IsDirectory(req.object)

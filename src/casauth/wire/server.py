@@ -2,13 +2,15 @@
 
 It owns the listening socket and the thread that serves it, gives every
 accepted connection an idle timeout, logs handshakes that fail, refuses
-every message once the peer's credential has expired, and turns a
-CasError raised while handling a message into the reply the protocol
-defines for it. A subclass supplies ``_handle_connection(sock)``, which
+every message once the peer's credential has expired, answers a message
+type the subclass has no handler for with BadRequest, and turns whatever
+a handler raises into the reply the protocol defines for it. An exception
+that is not a CasError is the server's own fault: it is logged with its
+traceback and answered ``internal``, and the session stays open. A
+subclass supplies ``handlers`` and ``_handle_connection(sock)``, which
 runs the handshake (a CasError escaping it is logged as a rejected
-handshake) and then serves messages through ``_reply``, and
-``_dispatch(message, subject)``, which answers one authenticated message.
-Peers' chains are verified against the ``trust_store`` the server is given.
+handshake) and then serves messages through ``_reply``. Peers' chains are
+verified against the ``trust_store`` the server is given.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Any, Callable
 
 from ..credential.certs import CertificateChain
 from ..credential.verify import EnforcementContext, VerifiedSubject
-from ..errors import CasError, Expired, Refused, TransportError
+from ..errors import BadRequest, CasError, Expired, Refused, TransportError
 from ..policy.model import LANGUAGE
 
 SESSION_TIMEOUT = 30.0
@@ -35,6 +37,8 @@ class AuthenticatedServer:
     # them. A failure whose reason is not among them is the server's own
     # fault: ``internal``.
     error_reasons: frozenset[str]
+    # Each message type answered, with the function taking (self, message, subject).
+    handlers: dict[str, Callable[..., dict[str, str]]]
 
     def __init__(self, chain: CertificateChain, leaf_key: Any, trust_store,
                  listen: tuple[str, int], clock: Callable[[], int]):
@@ -102,17 +106,23 @@ class AuthenticatedServer:
 
     def _reply(self, message: dict[str, str],
                subject: VerifiedSubject) -> dict[str, str]:
+        kind = message["msg"]
         try:
             # Validity was checked at the handshake; a session may outlive it.
             now, validity = self._clock(), subject.effective_validity
             if not validity.contains(now):
                 raise Expired(f"time {now} outside "
                               f"[{validity.not_before}, {validity.not_after}]")
-            return self._dispatch(message, subject)
+            handler = self.handlers.get(kind)
+            if handler is None:
+                raise BadRequest(f"no message type {kind!r}")
+            return handler(self, message, subject)
         except CasError as exc:
-            self.logger.info("%s from %s failed: %s", message["msg"],
-                             subject.identity, exc)
+            self.logger.info("%s from %s failed: %s", kind, subject.identity, exc)
             return self.failure_reply(exc)
+        except Exception as exc:
+            self.logger.exception("%s from %s failed", kind, subject.identity)
+            return self.failure_reply(CasError(str(exc)))
 
     @classmethod
     def failure_reply(cls, exc: CasError) -> dict[str, str]:

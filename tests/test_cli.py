@@ -370,6 +370,19 @@ def test_command_failure_is_one_line_not_a_traceback(case, cli_files, capsys):
     assert len(err) == 1 and err[0].startswith(f"{prog}: "), err
 
 
+def test_reply_that_does_not_decode_is_one_line_not_a_traceback(
+        cli_files, monkeypatch, capsys):
+    from casauth.client.session import ClientSession
+    monkeypatch.setattr(ClientSession, "connect", lambda self: self)
+    monkeypatch.setattr(ClientSession, "request",
+                        lambda self, fields: {"msg": "OK", "data": "not hex"})
+    capsys.readouterr()
+    assert _client(main_file)(cli_files, "--resource", "127.0.0.1:1",
+                              "--proxy", cli_files["cred"], "read", "/x") == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cas-file: "), err
+
+
 def test_sighup_reloads_a_valid_grant_table_and_keeps_the_old_on_failure(
         cli_files, monkeypatch, caplog):
     import signal

@@ -278,3 +278,45 @@ step acquire b cas=esg user=alice identity=CN=alice2
 step assert-permit
 """))
     assert report.ok, report.lines()
+
+
+# --- refusals that name their step ---------------------------------------------------
+
+@pytest.mark.parametrize("line", ["step assert-permit whatever words",
+                                  "step assert-deny whatever"],
+                         ids=["assert-permit", "assert-deny"])
+def test_assert_without_arguments_refuses_trailing_tokens(line):
+    with pytest.raises(ScenarioError) as info:
+        run_scenario(parse_script(SPAWNED + line + "\n"))
+    assert info.value.step_index == 4
+    assert "takes no arguments" in str(info.value)
+
+
+@pytest.mark.parametrize("files, text", [
+    ("file=/=x", "spawn-resource: /"),
+    ("file=/f=x file=/f/g=y", "/f/g"),
+    ("file=/f=one file=/f=two", "seeded twice"),
+    ("file=/f=one file=/./f=two", "seeded twice"),
+], ids=["root", "under-a-file", "repeated", "repeated-canonically"])
+def test_seeded_files_go_through_storage_and_name_the_step(files, text):
+    with pytest.raises(ScenarioError) as info:
+        run_scenario(parse_script("step spawn-ca alpha\n"
+                                  f"step spawn-resource ftp1 ca=alpha {files}\n"))
+    assert info.value.step_index == 1
+    assert text in str(info.value)
+
+
+def test_identity_goes_only_with_a_user_credential():
+    with pytest.raises(ScenarioError) as info:
+        run_scenario(parse_script("""
+step spawn-ca alpha
+step spawn-cas esg ca=alpha
+step spawn-resource ftp1 ca=alpha grant=cas.esg=file:read:/esg/*
+step admin esg enroll-user alice CN=alice
+step admin esg grant user:alice pattern:/esg/* file read
+step acquire cap1 cas=esg user=alice
+step assert-permit
+step file-op ftp1 cred=cap1 identity=CN=bob action=read path=/esg/a
+"""))
+    assert info.value.step_index == 7
+    assert "identity=" in str(info.value)

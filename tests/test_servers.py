@@ -1,9 +1,12 @@
 """End-to-end: CAS server and resource server over loopback sockets."""
 
+import os
 import socket
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import casauth.casd.server as casd_server
 import casauth.client.api as client_api
@@ -47,7 +50,7 @@ from casauth.errors import (
 )
 from casauth.policy.model import ALL, Request
 from casauth.policy.engine import evaluate
-from casauth.policy.text import parse_policy
+from casauth.policy.text import parse_policy, serialize_policy
 from casauth.resourced.server import ResourceServer
 from casauth.harness.runtime import make_policy
 from casauth.wire.frames import encode_message, read_message, send_message
@@ -443,6 +446,141 @@ def test_malformed_grant_tag_is_error_parse(world):
     with pytest.raises(ParseError):
         world["admin"]("grant", "owner:alice", "resource:esg-data", "file", "read")
     assert world["db_path"].read_bytes() == before
+
+
+# --- one request path for both servers ---------------------------------------------
+
+def open_session(world, server):
+    """A session on ``server`` as alice: her identity on casd, her capability elsewhere."""
+    if server == "casd":
+        chain, key = world["alice"]
+        address = world["cas"].address
+    else:
+        chain, key = acquire(world)
+        address = world["resource"].address
+    return ClientSession(address, chain, key, world["store"], clock=world["clock"])
+
+
+# One well-formed request per server and its reply. No request alice can send
+# changes that reply: she is not an administrator, and her capability only reads.
+WELL_FORMED = {
+    "casd": ({"msg": "ADMIN", "verb": "enroll-user", "args": "x CN=x"},
+             {"msg": "DENIED", "reason": "not-authorized"}),
+    "resourced": ({"msg": "FILE-OP", "action": "read", "path": "/esg/data/t42.nc"},
+                  {"msg": "OK", "data": b"temperature-grid".hex()}),
+}
+
+_LINE_TEXT = st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n")
+_KEYS = st.sampled_from(("verb", "args", "want", "policy", "session-pk", "lifetime",
+                         "action", "path", "service", "data")) | st.text(
+    st.characters(blacklist_categories=("Cs", "Zs", "Cc"), blacklist_characters=":"),
+    min_size=1, max_size=8).filter(lambda key: key != "msg")
+_VALUES = (st.text(_LINE_TEXT, max_size=30)
+           | st.binary(max_size=40).map(bytes.hex)
+           | st.sampled_from(("all", "read", "write", "list", "enroll-user", "-5",
+                              "/esg/data/t42.nc", "/esg/../..", "ff" * 32,
+                              serialize_policy(make_policy(
+                                  [("file", ["read"], ["/esg/*"])])).hex())))
+_MESSAGES = st.builds(
+    lambda kind, fields: {"msg": kind, **fields},
+    st.sampled_from(("ADMIN", "REQUEST-CAPABILITY", "FILE-OP"))
+    | st.text(_LINE_TEXT, min_size=1, max_size=12),
+    st.dictionaries(_KEYS, _VALUES, max_size=5))
+
+
+def in_vocabulary(reply):
+    if reply["msg"] in ("OK", "CAPABILITY"):
+        return True
+    reason = reply.get("reason")
+    return reply["msg"] in ("DENIED", "ERROR") and (
+        reason in REPLY_ERRORS or reason == "internal")
+
+
+@pytest.mark.parametrize("server", ["casd", "resourced"])
+def test_every_answer_is_in_the_vocabulary_and_the_session_survives(world, server):
+    follow_up, expected = WELL_FORMED[server]
+    with open_session(world, server) as session:
+
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(_MESSAGES)
+        def answers(message):
+            reply = session.request(message)
+            assert in_vocabulary(reply), (message, reply)
+            assert session.request(follow_up) == expected
+
+        answers()
+
+
+@pytest.mark.parametrize("fields", [
+    {"session-pk": "zz"}, {"lifetime": "-5"}, {"lifetime": "soon"},
+    {"policy": "not hex"},
+], ids=["session-pk", "lifetime-negative", "lifetime-word", "policy"])
+def test_casd_field_that_does_not_decode_is_error_parse(world, fields):
+    request = {"msg": "REQUEST-CAPABILITY", "want": "all",
+               "session-pk": DEFAULT_SCHEME.generate()[0].hex(), **fields}
+    with open_session(world, "casd") as session:
+        assert session.request(request) == {"msg": "ERROR", "reason": "parse"}
+
+
+def test_resourced_data_that_does_not_decode_is_error_parse(world):
+    request = {"msg": "FILE-OP", "action": "write", "path": "/esg/data/n", "data": "zz"}
+    with open_session(world, "resourced") as session:
+        assert session.request(request) == {"msg": "ERROR", "reason": "parse"}
+
+
+@pytest.mark.parametrize("server, module, attr", [
+    ("casd", casd_server, "apply_admin"),
+    ("resourced", resourced_server, "handle_file_op"),
+], ids=["casd", "resourced"])
+def test_handler_failure_is_error_internal_and_the_session_survives(
+        world, monkeypatch, caplog, server, module, attr):
+    original, failed = getattr(module, attr), []
+
+    def fails_once(*args):
+        if not failed:
+            failed.append(True)
+            raise RuntimeError("handler bug")
+        return original(*args)
+
+    monkeypatch.setattr(module, attr, fails_once)
+    follow_up, expected = WELL_FORMED[server]
+    with open_session(world, server) as session:
+        assert session.request(follow_up) == {"msg": "ERROR", "reason": "internal"}
+        assert session.request(follow_up) == expected
+    assert "handler bug" in caplog.text
+
+
+def test_list_leaves_out_names_that_are_not_utf8(world):
+    world["admin"]("grant", "user:alice", "pattern:/esg/mixed", "file", "list")
+    mixed = world["root"] / "esg" / "mixed"
+    mixed.mkdir()
+    (mixed / "ok").write_bytes(b"")
+    open(os.fsencode(mixed) + b"/bad\xff", "wb").close()
+    capability, session_key = acquire(world)
+    with ClientSession(world["resource"].address, capability, session_key,
+                       world["store"], clock=world["clock"]) as session:
+        reply = session.request({"msg": "FILE-OP", "action": "list", "path": "/esg/mixed"})
+        assert reply == {"msg": "OK", "data": b"ok".hex()}
+        assert session.request(WELL_FORMED["resourced"][0])["msg"] == "OK"
+
+
+@pytest.mark.parametrize("call, reply", [
+    ("acquire", {"msg": "CAPABILITY"}),
+    ("acquire", {"msg": "CAPABILITY", "chain": "zz"}),
+    ("read", {"msg": "OK"}),
+    ("read", {"msg": "OK", "data": "zz"}),
+    ("list", {"msg": "OK", "data": "zz"}),
+    ("list", {"msg": "OK", "data": "ff"}),
+], ids=["chain-missing", "chain-not-hex", "data-missing", "data-not-hex",
+        "list-not-hex", "list-not-utf8"])
+def test_reply_field_that_does_not_decode_is_parse_error(monkeypatch, call, reply):
+    monkeypatch.setattr(ClientSession, "connect", lambda self: self)
+    monkeypatch.setattr(ClientSession, "request", lambda self, fields: reply)
+    with pytest.raises(ParseError):
+        if call == "acquire":
+            acquire_capability(("127.0.0.1", 1), None, None, trust_store=())
+        else:
+            file_op(("127.0.0.1", 1), None, None, call, "/x", trust_store=())
 
 
 # --- the call sites the benchmark's tracer wraps ---------------------------------
