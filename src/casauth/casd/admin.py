@@ -20,6 +20,7 @@ from ..errors import (
     UnknownActor,
     UnknownName,
 )
+from ..lines import nonnegative_int
 from ..policy.engine import evaluate
 from ..policy.model import Request
 from .db import (
@@ -189,7 +190,7 @@ def _mutate(db: CommunityDB, cmd: AdminCommand) -> None:
 
     elif verb == "revoke":
         try:
-            stmt_id = int(args[0], 10)
+            stmt_id = nonnegative_int(args[0])
         except ValueError:
             raise InvariantViolation(f"revoke takes a statement id, got {args[0]!r}") from None
         for i, stmt in enumerate(db.statements):

@@ -2,9 +2,9 @@
 
 The snapshot is a line-oriented text file with five fixed sections. Names
 are listed sorted, and statements in ascending id order, the order
-``CommunityDB.statements`` always keeps them in. So saving is canonical
-(re-saving a loaded snapshot is byte-identical), and a snapshot whose
-statements are out of id order is refused:
+``CommunityDB.statements`` always keeps them in. So re-saving a snapshot
+casd wrote is byte-identical; other input that loads (names out of order,
+say) is re-saved in this form. Statements out of id order are refused:
 
     [users]
     alice enrolled CN=alice
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import InvariantViolation, ParseError
-from ..lines import join_lines, read_file, split_lines, write_file
+from ..lines import is_token, join_lines, nonnegative_int, read_file, split_lines, write_file
 from ..policy.model import Action, ObjectPattern
 
 GRANTEE_USER = "user"
@@ -95,8 +95,7 @@ def check_name(kind: str, name: str) -> None:
 
     No ``*``: an admin request names its group as a concrete object.
     """
-    if not (name and name.isascii() and not any(c.isspace() for c in name)
-            and not any(c in name for c in ":[]*")):
+    if not is_token(name) or any(c in name for c in ":[]*"):
         raise InvariantViolation(f"bad {kind} name {name!r}")
 
 
@@ -252,9 +251,9 @@ def parse_db(data: bytes) -> CommunityDB:
                 if saw_next_id:
                     raise ParseError("duplicate next-id", line=i)
                 try:
-                    db.next_statement_id = int(line[len("next-id "):], 10)
+                    db.next_statement_id = nonnegative_int(line[len("next-id "):])
                 except ValueError:
-                    raise ParseError("next-id is not an integer", line=i) from None
+                    raise ParseError("next-id is not a whole number", line=i) from None
                 saw_next_id = True
                 continue
             parts = line.split(" ")
@@ -262,9 +261,9 @@ def parse_db(data: bytes) -> CommunityDB:
                 raise ParseError("expected '<id> <grantee> <object> <service> <action>'",
                                  line=i)
             try:
-                stmt_id = int(parts[0], 10)
+                stmt_id = nonnegative_int(parts[0])
             except ValueError:
-                raise ParseError("statement id is not an integer", line=i) from None
+                raise ParseError("statement id is not a whole number", line=i) from None
             gk, gv = parse_tagged(parts[1], (GRANTEE_USER, GRANTEE_GROUP), i)
             ok, ov = parse_tagged(parts[2], (OBJECT_RESOURCE, OBJECT_RGROUP,
                                              OBJECT_PATTERN), i)

@@ -7,9 +7,10 @@ import logging
 import os
 import sys
 
-from ..cli import EXIT_OK, nonnegative_int, run
+from ..cli import EXIT_OK, run
 from ..credential.certs import load_trust_store
 from ..credfile import load_credential
+from ..lines import nonnegative_int
 from ..wire.frames import split_endpoint
 from .db import CommunityDB, load_db, save_db
 from .issuance import DEFAULT_MAX_LIFETIME

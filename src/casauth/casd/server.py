@@ -27,12 +27,11 @@ import socket
 import threading
 from typing import Any, Callable
 
-from ..cli import nonnegative_int
 from ..credential.certs import CertificateChain, encode_chain
 from ..credential.verify import VerifiedSubject
 from ..clocks import system_clock
 from ..errors import ParseError, RestrictedAuthRefused
-from ..lines import field
+from ..lines import field, nonnegative_int
 from ..policy.model import ALL
 from ..policy.text import parse_policy
 from ..wire.frames import serve_messages

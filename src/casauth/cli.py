@@ -1,4 +1,4 @@
-"""What every casauth command shares: exit codes, argument types, the runner.
+"""What every casauth command shares: exit codes and the runner.
 
 Exit codes are a fixed function of the error taxonomy so scripts can
 branch on them: 0 ok, 2 denied, 3 authentication, 4 transport, 5 usage,
@@ -29,13 +29,6 @@ def exit_code_for(exc: CasError | OSError) -> int:
     if isinstance(exc, TransportError):
         return EXIT_TRANSPORT
     return EXIT_ERROR
-
-
-def nonnegative_int(value: str) -> int:
-    """A whole, nonnegative decimal number; ValueError for anything else."""
-    if not (value.isascii() and value.isdigit()):
-        raise ValueError(f"not a nonnegative whole number: {value!r}")
-    return int(value)
 
 
 def run(prog: str, parser: argparse.ArgumentParser, argv,

@@ -6,7 +6,7 @@ import argparse
 import os
 import sys
 
-from ..cli import EXIT_OK, nonnegative_int, run
+from ..cli import EXIT_OK, run
 from ..clocks import system_clock
 from ..credential.certs import (
     CertificateChain,
@@ -16,7 +16,7 @@ from ..credential.certs import (
 )
 from ..credential.issue import CertificateAuthority
 from ..credfile import load_credential, save_credential
-from ..lines import read_file
+from ..lines import nonnegative_int, read_file
 from ..policy.model import ALL
 from ..policy.text import parse_policy
 from ..wire.frames import split_endpoint

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from ..errors import MissingField, ParseError
 from ..lines import (
     field,
+    is_line,
+    is_token,
     join_blocks,
     join_lines,
     key_values,
@@ -49,10 +51,8 @@ _POLICY_KEYS = ("policy-lang", "policy-body", "policy-critical")
 
 
 def _check_name(value: str, what: str) -> None:
-    if not value:
-        raise ValueError(f"{what} must be nonempty")
-    if "\n" in value or "\r" in value:
-        raise ValueError(f"{what} must not contain line breaks")
+    if not (value and is_line(value)):
+        raise ValueError(f"{what} must be a nonempty single line")
 
 
 @dataclass(frozen=True)
@@ -78,20 +78,16 @@ class ValidityInterval:
 class RestrictionPolicy:
     """An opaque policy body plus the tag naming its language.
 
-    Restrictions are always critical: a verifier that cannot evaluate the
-    body must reject the whole chain.
+    Restrictions are always critical, encoded as ``policy-critical: true``:
+    a verifier that cannot evaluate the body must reject the whole chain.
     """
 
     language_tag: str
     body: bytes
-    critical: bool = True
 
     def __post_init__(self):
-        tag = self.language_tag
-        if not tag or not tag.isascii() or any(c.isspace() for c in tag):
+        if not is_token(self.language_tag):
             raise ValueError("language tag must be nonempty ASCII without whitespace")
-        if not self.critical:
-            raise ValueError("restrictions are always critical")
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,7 @@ class Certificate:
             raise ValueError("subject public key must be nonempty")
         if self.proxy_group is not None:
             pg = self.proxy_group
-            if not pg or any(c.isspace() for c in pg):
+            if pg.split() != [pg] or not is_line(pg):
                 raise ValueError("proxy group must be a nonempty token")
 
 

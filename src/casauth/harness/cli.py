@@ -6,8 +6,8 @@ import argparse
 import sys
 from importlib import resources
 
-from ..cli import EXIT_ERROR, EXIT_OK, nonnegative_int, run
-from ..lines import read_text
+from ..cli import EXIT_ERROR, EXIT_OK, run
+from ..lines import nonnegative_int, read_text
 from .scenario import parse_script, run_scenario
 from .topology import TrustTopology, trust_edges
 

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cli import nonnegative_int
 from ..client.api import acquire_capability, admin_command, file_op
 from ..errors import CasError, ParseError, Refused
+from ..lines import nonnegative_int
 from ..policy.model import ALL
 from ..resourced.storage import canonical_name
 from .runtime import ADMIN_IDENTITY, Deployment, make_policy

@@ -5,12 +5,14 @@ text, grant tables, the community snapshot and wire payloads are all UTF-8
 text with exactly one linefeed after each line. Several are ``key: value``
 fields, and the files holding several records separate them with a
 ``----`` line. Decoders take a ``first_line`` so that an error inside an
-embedded record names its line in the whole file.
+embedded record names its line in the whole file. The text rules those
+formats share are defined here once: is_token, is_line and nonnegative_int.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from typing import Any, Callable
 
 from .errors import DuplicateField, IoError, IsDirectory, MissingField, ParseError
@@ -19,6 +21,24 @@ SEPARATOR = "----"
 # Every temp file write_file makes is named with this prefix, and no object
 # name may contain a segment that starts with it.
 TEMP_PREFIX = ".casauth-tmp."
+_NOT_IN_A_LINE = re.compile("[\n\r\ud800-\udfff]")
+
+
+def is_token(text: str) -> bool:
+    """Nonempty ASCII with no whitespace."""
+    return text.isascii() and text.split() == [text]
+
+
+def is_line(text: str) -> bool:
+    """Encodable as UTF-8, with no linefeed and no carriage return."""
+    return _NOT_IN_A_LINE.search(text) is None
+
+
+def nonnegative_int(value: str) -> int:
+    """A whole, nonnegative decimal number; ValueError for anything else."""
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"not a nonnegative whole number: {value!r}")
+    return int(value)
 
 
 def split_lines(data: bytes) -> list[str]:
@@ -42,8 +62,8 @@ def key_values(lines: list[str], first_line: int = 1) -> dict[str, str]:
     fields: dict[str, str] = {}
     for i, line in enumerate(lines, first_line):
         key, sep, value = line.partition(": ")
-        if not sep or not key:
-            raise ParseError(f"expected 'key: value', got {line!r}", line=i)
+        if not (sep and key and is_line(line)):
+            raise ParseError(f"expected one 'key: value' line, got {line!r}", line=i)
         if key in fields:
             raise DuplicateField(f"duplicate field {key!r}", line=i)
         fields[key] = value

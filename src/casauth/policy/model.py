@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..lines import is_line, is_token
+
 LANGUAGE = "cas-simple-v1"
-
-
-def _token_ok(value: str) -> bool:
-    return bool(value) and value.isascii() and not any(c.isspace() for c in value)
 
 
 @dataclass(frozen=True)
@@ -26,7 +24,7 @@ class Action:
     def __post_init__(self):
         for part, what in ((self.service_type, "service type"),
                            (self.action_name, "action name")):
-            if not _token_ok(part) or ":" in part or part != part.lower():
+            if not is_token(part) or ":" in part or part != part.lower():
                 raise ValueError(f"{what} must be a lowercase ASCII token "
                                  f"without whitespace or colons: {part!r}")
 
@@ -42,7 +40,7 @@ class ObjectPattern:
 
     def __post_init__(self):
         p = self.pattern
-        if not _token_ok(p):
+        if not is_token(p):
             raise ValueError(f"pattern must be a nonempty whitespace-free token: {p!r}")
         if "*" in p and p != "*" and not (p.endswith("/*") and p.count("*") == 1):
             raise ValueError(f"'*' may appear only as trailing '/*' or alone: {p!r}")
@@ -77,10 +75,8 @@ class Request:
     def __post_init__(self):
         if not self.service_type or not self.action_name or not self.object:
             raise ValueError("request fields must be nonempty")
-        if "*" in self.object:
-            raise ValueError("request objects are concrete names, no wildcards")
-        if "\n" in self.object:
-            raise ValueError("request objects must not contain line breaks")
+        if "*" in self.object or not is_line(self.object):
+            raise ValueError("request objects are concrete one-line names, no wildcards")
 
 
 class _AllRights:

@@ -5,11 +5,11 @@ One post-handshake message type:
     FILE-OP  action: read|write|list  path: </object/name>
              [service: <type>]        [data: <hex>, required for write]
 
-Replies: OK (``data`` for read, newline-joined names for list), DENIED
-(always just ``reason: denied``; the grant table must not leak through
-error detail), or ERROR with a machine reason: ``parse`` for a field that
-does not decode or a write without ``data``. The handshake runs with
-willingness to enforce restrictions, so capabilities verify here and
+Replies: OK (``data`` for read; for list, the newline-joined names of the
+children a request can reach), DENIED (always just ``reason: denied``; the
+grant table must not leak), or ERROR with a machine reason: ``parse`` for a
+field that does not decode or a write without ``data``. The handshake runs
+with willingness to enforce restrictions, so capabilities verify here and
 their policies bound what the bearer can do. Both policies are checked
 against the canonical object name, the one storage opens, so dot
 segments cannot reach past what they allow.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ..errors import IoError, IsDirectory, NotDirectory, NotFound, PathEscape
@@ -50,12 +50,10 @@ class VirtualRoot:
         return Path(self.root).joinpath(*canonical_name(object_path).split("/"))
 
 
-def _nameable(name: str) -> bool:
-    if name.startswith(TEMP_PREFIX):
-        return False
+def _nameable(req: Request, name: str) -> bool:
     try:
-        name.encode("utf-8")  # undecodable bytes come back as lone surrogates
-    except UnicodeEncodeError:
+        replace(req, object=canonical_name(f"{req.object}/{name}"))
+    except (PathEscape, ValueError):
         return False
     return True
 
@@ -64,10 +62,10 @@ def handle_file_op(root: VirtualRoot, req: Request,
                    payload: bytes | None = None):
     """Execute an already-authorized file request.
 
-    read returns bytes, list returns the sorted names of the children a
-    request can name, which leaves out temp files and names that are not
-    UTF-8, and write stores the payload durably and atomically, as a file
-    of mode 0600, and returns None.
+    read returns bytes. list returns the sorted names of the children a
+    request can name: those that pass canonical_name and Request, as the
+    server applies them. write stores the payload durably and atomically,
+    as a file of mode 0600, and returns None.
     Nothing is created outside the root: a write of the root itself raises
     IsDirectory before anything is made. A name under a file raises
     NotDirectory for every action.
@@ -77,7 +75,7 @@ def handle_file_op(root: VirtualRoot, req: Request,
         if req.action_name == "read":
             return path.read_bytes()
         if req.action_name == "list":
-            return sorted(p.name for p in path.iterdir() if _nameable(p.name))
+            return sorted(p.name for p in path.iterdir() if _nameable(req, p.name))
         if req.action_name == "write":
             if path == Path(root.root):
                 raise IsDirectory(req.object)

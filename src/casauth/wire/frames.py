@@ -12,7 +12,7 @@ import struct
 from typing import Mapping
 
 from ..errors import ParseError, ProtocolError, TransportError
-from ..lines import join_lines, key_values, split_lines
+from ..lines import is_line, join_lines, key_values, split_lines
 
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
@@ -32,11 +32,11 @@ def encode_message(fields: Mapping[str, str]) -> bytes:
     for key, value in fields.items():
         if key == "msg":
             continue
-        if not key or any(c.isspace() for c in key) or ":" in key:
+        if key.split() != [key] or ":" in key:
             raise ProtocolError(f"bad message key {key!r}")
-        if "\n" in value or "\r" in value:
-            raise ProtocolError(f"message value for {key!r} contains a line break")
         lines.append(f"{key}: {value}")
+    if not all(map(is_line, lines)):
+        raise ProtocolError("every message field must be one UTF-8 line")
     payload = join_lines(lines)
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError("frame too large")

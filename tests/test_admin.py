@@ -158,6 +158,14 @@ def test_grant_and_revoke(db):
         bootstrap_apply(db, cmd("revoke", str(granted[0].id)))
 
 
+@pytest.mark.parametrize("number", ["+1", "1_0", "\u0661"])
+def test_revoke_takes_a_plain_decimal_id(db, number):
+    db = bootstrap_apply(db, *[cmd("grant", "user:alice", "resource:esg-data",
+                                   "file", "read")] * 10)
+    with pytest.raises(InvariantViolation, match="statement id"):
+        bootstrap_apply(db, cmd("revoke", number))
+
+
 def test_grant_to_unknown_referents_rejected(db):
     with pytest.raises(UnknownName):
         bootstrap_apply(db, cmd("grant", "user:ghost", "resource:esg-data",

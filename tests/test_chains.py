@@ -32,6 +32,7 @@ from casauth.errors import (
     Expired,
     InvalidInterval,
     MalformedChain,
+    ParseError,
     RestrictionRefused,
     UnknownPolicyLanguage,
     UntrustedRoot,
@@ -121,7 +122,11 @@ def test_delegate_twice_accumulates_restrictions_in_order(ca, rng):
 def test_restriction_is_critical(ca, rng):
     restriction = RestrictionPolicy("cas-simple-v1", b"lang: cas-simple-v1\n")
     chain, _ = make_user_chain(ca, rng, restrictions=[restriction])
-    assert chain.leaf.restriction.critical is True
+    encoded = encode_chain(chain)
+    assert encoded.count(b"\npolicy-critical: true\n") == 1
+    assert decode_chain(encoded) == chain
+    with pytest.raises(ParseError, match="canonical"):
+        decode_chain(encoded.replace(b"policy-critical: true", b"policy-critical: false"))
 
 
 def test_delegate_rejects_wrong_leaf_key(ca, rng):

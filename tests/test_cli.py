@@ -201,6 +201,19 @@ def test_missing_file_exits_generic_error(cli_world, tmp_path):
     assert rc == EXIT_ERROR
 
 
+def test_path_that_no_frame_can_carry_is_an_error_not_a_crash(cli_world, tmp_path,
+                                                             capsys):
+    seed_alice(cli_world)
+    proxy = tmp_path / "cas-proxy"
+    assert proxy_init(cli_world, proxy) == EXIT_OK
+    capsys.readouterr()
+    rc = main_file(["--resource", cli_world["resource"], "--proxy", str(proxy),
+                    "--trust", cli_world["anchor"], "read", "/\udcff"])
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("cas-file: ") and err.count("\n") == 1
+
+
 def test_proxy_env_variable_honored(cli_world, tmp_path, monkeypatch, capsysbinary):
     seed_alice(cli_world)
     proxy = tmp_path / "via-env"

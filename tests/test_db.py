@@ -130,6 +130,22 @@ def test_next_id_must_exceed_existing():
         validate_db(db)
 
 
+@pytest.mark.parametrize("number", ["+1", "1_0", "\u0661"],
+                         ids=["plus", "underscore", "arabic-indic"])
+@pytest.mark.parametrize("statements", ["next-id {}\n",
+                                        "next-id 20\n{} user:alice pattern:/a/* file read\n"],
+                         ids=["next-id", "statement-id"])
+def test_number_that_is_not_plain_decimal_refused(statements, number):
+    text = ("[users]\n"
+            "alice enrolled CN=alice\n"
+            "[resources]\n"
+            "[user-groups]\n"
+            "[resource-groups]\n"
+            "[statements]\n" + statements.format(number))
+    with pytest.raises(ParseError, match="whole number"):
+        parse_db(text.encode())
+
+
 def test_parse_reports_line_numbers():
     text = ("[users]\n"
             "alice enrolled CN=alice\n"

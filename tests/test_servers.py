@@ -1,11 +1,12 @@
 """End-to-end: CAS server and resource server over loopback sockets."""
 
+import itertools
 import os
 import socket
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import casauth.casd.server as casd_server
@@ -53,6 +54,7 @@ from casauth.policy.engine import evaluate
 from casauth.policy.text import parse_policy, serialize_policy
 from casauth.resourced.server import ResourceServer
 from casauth.harness.runtime import make_policy
+from casauth.lines import TEMP_PREFIX
 from casauth.wire.frames import encode_message, read_message, send_message
 from casauth.wire.handshake import client_handshake
 
@@ -562,6 +564,58 @@ def test_list_leaves_out_names_that_are_not_utf8(world):
         reply = session.request({"msg": "FILE-OP", "action": "list", "path": "/esg/mixed"})
         assert reply == {"msg": "OK", "data": b"ok".hex()}
         assert session.request(WELL_FORMED["resourced"][0])["msg"] == "OK"
+
+
+# Directory entries as bytes: names no frame can carry (line breaks, bytes that
+# are not UTF-8), names the server refuses (a wildcard, the temp prefix), names
+# a request can carry (a space, non-ASCII text), and any other short name.
+_READABLE_NAMES = [b"with space", "caf\u00e9 \u00a1".encode()]
+_SEEDED_NAMES = [b"a\nb", b"c\rd", b"st*r", b"bad\xff",
+                 TEMP_PREFIX.encode() + b"0123456789abcdef", *_READABLE_NAMES]
+_ENTRY_NAMES = (st.sampled_from(_SEEDED_NAMES)
+                | st.binary(min_size=1, max_size=6).filter(
+                    lambda name: b"/" not in name and b"\0" not in name
+                    and name not in (b".", b"..")))
+
+
+def test_list_shows_exactly_the_entries_a_read_reaches(world):
+    world["admin"]("grant", "user:alice", "pattern:/esg/listed/*", "file", "read")
+    world["admin"]("grant", "user:alice", "pattern:/esg/listed/*", "file", "list")
+    capability, session_key = acquire(world)
+    directories = itertools.count()
+    with ClientSession(world["resource"].address, capability, session_key,
+                       world["store"], clock=world["clock"]) as session:
+
+        def file_op(action, path):
+            try:
+                return session.request({"msg": "FILE-OP", "action": action, "path": path})
+            except ProtocolError:  # the client cannot send this path
+                return None
+
+        @settings(max_examples=40, deadline=None, database=None)
+        @example(_SEEDED_NAMES)
+        @given(st.lists(_ENTRY_NAMES, unique=True, max_size=6))
+        def listing(names):
+            directory = f"/esg/listed/{next(directories)}"
+            real = os.fsencode(world["root"]) + directory.encode()
+            os.makedirs(real)
+            for name in names:
+                with open(real + b"/" + name, "wb") as fh:
+                    fh.write(b"bytes of " + name)
+            reached = []
+            for name in names:
+                reply = file_op("read", f"{directory}/{os.fsdecode(name)}")
+                if reply is not None and reply["msg"] == "OK":
+                    assert bytes.fromhex(reply["data"]) == b"bytes of " + name
+                    reached.append(os.fsdecode(name))
+                elif name in _READABLE_NAMES:
+                    pytest.fail(f"{name!r} does not read: {reply}")
+            reply = file_op("list", directory)
+            assert reply["msg"] == "OK", reply
+            data = bytes.fromhex(reply["data"])
+            assert (data.decode().split("\n") if data else []) == sorted(reached)
+
+        listing()
 
 
 @pytest.mark.parametrize("call, reply", [

@@ -6,7 +6,7 @@ import struct
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casauth.credential.certs import ValidityInterval, encode_chain
@@ -75,6 +75,32 @@ def test_oversized_frame_rejected():
 def test_values_may_not_contain_linebreaks():
     with pytest.raises(ProtocolError):
         encode_message({"msg": "OK", "x": "a\nb"})
+
+
+@pytest.mark.parametrize("payload", [b"msg: OK\r\n", b"msg: OK\nx: a\rb\n"],
+                         ids=["msg", "value"])
+def test_decode_refuses_the_carriage_return_encode_refuses(payload):
+    with pytest.raises(ProtocolError):
+        decode_payload(payload)
+
+
+# Any text at all, surrogates included, weighted towards what a line may not hold.
+_FRAME_TEXT = st.text(st.characters(blacklist_categories=())
+                      | st.sampled_from("\n\r: \udcff¡"), max_size=8)
+
+
+@settings(max_examples=150)
+@example({"msg": "OK\nreason: denied"})
+@example({"msg": "OK", "path": "/\udcff"})
+@given(st.dictionaries(_FRAME_TEXT, _FRAME_TEXT, max_size=4)
+       | st.builds(lambda fields, msg: {**fields, "msg": msg}, st.dictionaries(
+           _FRAME_TEXT, _FRAME_TEXT, max_size=4), _FRAME_TEXT))
+def test_every_message_encode_accepts_decodes_to_itself(fields):
+    try:
+        frame = encode_message(fields)
+    except ProtocolError:
+        return
+    assert decode_payload(frame[4:]) == fields
 
 
 @settings(max_examples=200)
