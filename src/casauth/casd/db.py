@@ -19,6 +19,9 @@ say) is re-saved in this form. Statements out of id order are refused:
     1 group:climate rgroup:esg-sets file read
     3 user:alice pattern:/scratch/* file write
 
+User, resource and group names are printable ASCII tokens (``is_token``).
+An identity is any nonempty line (``is_identity``), the rule certificate
+subjects follow, so every enrolled identity is one a certificate can carry.
 Statement grantees are ``user:<name>`` or ``group:<user group>``; objects
 are ``resource:<name>``, ``rgroup:<resource group>``, or a literal
 ``pattern:<object pattern>``. The ``next-id`` line preserves the statement
@@ -31,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import InvariantViolation, ParseError
-from ..lines import is_token, join_lines, nonnegative_int, read_file, split_lines, write_file
+from ..lines import (is_identity, is_token, join_lines, nonnegative_int, read_file,
+                     split_lines, write_file)
 from ..policy.model import Action, ObjectPattern
 
 GRANTEE_USER = "user"
@@ -100,7 +104,7 @@ def check_name(kind: str, name: str) -> None:
 
 
 def check_identity(name: str, identity: str) -> None:
-    if not identity or "\n" in identity:
+    if not is_identity(identity):
         raise InvariantViolation(f"bad identity for user {name!r}")
 
 

@@ -10,11 +10,17 @@ import sys
 from ..cli import EXIT_OK, run
 from ..credential.certs import load_trust_store
 from ..credfile import load_credential
-from ..lines import nonnegative_int
+from ..lines import is_identity, nonnegative_int
 from ..wire.frames import split_endpoint
 from .db import CommunityDB, load_db, save_db
 from .issuance import DEFAULT_MAX_LIFETIME
 from .server import serve
+
+
+def identity(text: str) -> str:
+    if not is_identity(text):
+        raise ValueError(text)
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -24,7 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--db", required=True, help="community database snapshot path")
     parser.add_argument("--cred", required=True, help="server credential file")
     parser.add_argument("--trust", required=True, help="trust store file")
-    parser.add_argument("--bootstrap-admin", help="identity that always passes admin checks")
+    parser.add_argument("--bootstrap-admin", type=identity,
+                        help="identity that always passes admin checks")
     parser.add_argument("--max-lifetime", type=nonnegative_int,
                         default=DEFAULT_MAX_LIFETIME, help="capability lifetime cap in seconds")
     parser.add_argument("-v", "--verbose", action="store_true")

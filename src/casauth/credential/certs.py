@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from ..errors import MissingField, ParseError
 from ..lines import (
     field,
+    is_identity,
     is_line,
     is_token,
     join_blocks,
@@ -48,11 +49,6 @@ KIND_PROXY = "proxy"
 KINDS = (KIND_TRUST_ANCHOR, KIND_IDENTITY, KIND_PROXY)
 
 _POLICY_KEYS = ("policy-lang", "policy-body", "policy-critical")
-
-
-def _check_name(value: str, what: str) -> None:
-    if not (value and is_line(value)):
-        raise ValueError(f"{what} must be a nonempty single line")
 
 
 @dataclass(frozen=True)
@@ -107,8 +103,9 @@ class Certificate:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
         if self.serial < 0:
             raise ValueError("serial must be nonnegative")
-        _check_name(self.subject_name, "subject name")
-        _check_name(self.issuer_name, "issuer name")
+        for name, what in ((self.subject_name, "subject"), (self.issuer_name, "issuer")):
+            if not is_identity(name):
+                raise ValueError(f"{what} name must be a nonempty single line")
         if not self.subject_public_key:
             raise ValueError("subject public key must be nonempty")
         if self.proxy_group is not None:

@@ -6,7 +6,8 @@ text with exactly one linefeed after each line. Several are ``key: value``
 fields, and the files holding several records separate them with a
 ``----`` line. Decoders take a ``first_line`` so that an error inside an
 embedded record names its line in the whole file. The text rules those
-formats share are defined here once: is_token, is_line and nonnegative_int.
+formats share are defined here once: is_token, is_line, is_identity, is_key
+and nonnegative_int.
 """
 
 from __future__ import annotations
@@ -25,13 +26,23 @@ _NOT_IN_A_LINE = re.compile("[\n\r\ud800-\udfff]")
 
 
 def is_token(text: str) -> bool:
-    """Nonempty ASCII with no whitespace."""
-    return text.isascii() and text.split() == [text]
+    """Nonempty printable ASCII with no space."""
+    return text != "" and text.isascii() and text.isprintable() and " " not in text
 
 
 def is_line(text: str) -> bool:
     """Encodable as UTF-8, with no linefeed and no carriage return."""
     return _NOT_IN_A_LINE.search(text) is None
+
+
+def is_identity(text: str) -> bool:
+    """A certificate subject or issuer, a casd identity, a grantor: a nonempty line."""
+    return text != "" and is_line(text)
+
+
+def is_key(text: str) -> bool:
+    """The key of a ``key: value`` field: nonempty, no whitespace and no ':'."""
+    return text.split() == [text] and ":" not in text
 
 
 def nonnegative_int(value: str) -> int:
@@ -58,11 +69,11 @@ def join_lines(lines: list[str]) -> bytes:
 
 
 def key_values(lines: list[str], first_line: int = 1) -> dict[str, str]:
-    """Fields of ``key: value`` lines, in order; keys are nonempty and unique."""
+    """Fields of ``key: value`` lines, in order; keys pass is_key and are unique."""
     fields: dict[str, str] = {}
     for i, line in enumerate(lines, first_line):
         key, sep, value = line.partition(": ")
-        if not (sep and key and is_line(line)):
+        if not (sep and is_key(key) and is_line(line)):
             raise ParseError(f"expected one 'key: value' line, got {line!r}", line=i)
         if key in fields:
             raise DuplicateField(f"duplicate field {key!r}", line=i)

@@ -12,13 +12,15 @@
     ...
 
 Blocks are separated by a ``----`` line; each block is a grantor line
-followed by an embedded cas-simple-v1 policy text.
+followed by an embedded cas-simple-v1 policy text. A grantor is an
+identity as certificates carry it: any nonempty line (``is_identity``).
 """
 
 from __future__ import annotations
 
 from ..errors import ParseError
-from ..lines import join_blocks, join_lines, read_file, split_blocks, split_lines, write_file
+from ..lines import (is_identity, join_blocks, join_lines, read_file, split_blocks,
+                     split_lines, write_file)
 from ..policy.model import PolicyDocument
 from ..policy.text import policy_from_lines, serialize_policy
 
@@ -33,8 +35,8 @@ def parse_grant_table(data: bytes) -> dict[str, PolicyDocument]:
         if not block[0].startswith(_GRANTOR_PREFIX):
             raise ParseError("block must start with 'grantor: <identity>'", line=start)
         grantor = block[0][len(_GRANTOR_PREFIX):]
-        if not grantor:
-            raise ParseError("empty grantor identity", line=start)
+        if not is_identity(grantor):
+            raise ParseError(f"bad grantor identity {grantor!r}", line=start)
         if grantor in table:
             raise ParseError(f"duplicate grantor {grantor!r}", line=start)
         table[grantor] = policy_from_lines(block[1:], start + 1)

@@ -14,13 +14,15 @@ def canonical_name(object_path: str) -> str:
     """The object name with dot segments removed (RFC 3986 section 5.2.4).
 
     Empty and "." segments drop and ".." pops, so "/a/./b//c/../d/" is
-    "/a/b/d". A relative name, one that pops past the root, or one with a
-    segment that starts with TEMP_PREFIX, the prefix of the temp files that
-    writes rename over their names, raises PathEscape. The resource
-    authorizes and stores under this one name.
+    "/a/b/d". A relative name, one holding a NUL, one that pops past the
+    root, or one with a segment that starts with TEMP_PREFIX, the prefix of
+    the temp files that writes rename over their names, raises PathEscape.
+    The resource authorizes and stores under this one name.
     """
     if not object_path.startswith("/"):
         raise PathEscape(f"object names are absolute, got {object_path!r}")
+    if "\0" in object_path:
+        raise PathEscape(f"{object_path!r} holds a NUL, which no file name can")
     parts: list[str] = []
     for segment in object_path.split("/"):
         if segment in ("", "."):

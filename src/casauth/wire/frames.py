@@ -12,7 +12,7 @@ import struct
 from typing import Mapping
 
 from ..errors import ParseError, ProtocolError, TransportError
-from ..lines import is_line, join_lines, key_values, split_lines
+from ..lines import is_key, is_line, join_lines, key_values, split_lines
 
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
@@ -32,7 +32,7 @@ def encode_message(fields: Mapping[str, str]) -> bytes:
     for key, value in fields.items():
         if key == "msg":
             continue
-        if key.split() != [key] or ":" in key:
+        if not is_key(key):
             raise ProtocolError(f"bad message key {key!r}")
         lines.append(f"{key}: {value}")
     if not all(map(is_line, lines)):

@@ -200,6 +200,11 @@ def test_spaced_identity_enrollment(db):
     assert db.users["ann"].identity == "CN=Ann Example"
 
 
+def test_enrollment_refuses_an_identity_no_certificate_can_carry(db):
+    with pytest.raises(InvariantViolation):
+        bootstrap_apply(db, cmd("enroll-user", "ann", "CN=b\rc"))
+
+
 # --- the write path checks each command once ---------------------------------------
 
 def checked_whole(db, c):
@@ -222,8 +227,15 @@ def outcome(apply, *args):
 _USERS = tuple(f"user{i}" for i in range(5))
 _RESOURCES = tuple(f"res{i}" for i in range(4))
 _GROUPS = ("ugroup0", "ugroup1", "ugroup2", "rgroup0", "rgroup1")
-_BAD_NAMES = ("", "two words", "a:b", "[x]", "caf\u00e9", "a*")
+_BAD_NAMES = ("", "two words", "a:b", "[x]", "caf\u00e9", "a*",
+              "a\x00b", "a\x1bb", "a\x7fb")
 _BAD_TERMS = ("", "File", "x:y", "two words")
+
+
+@pytest.mark.parametrize("name", _BAD_NAMES)
+def test_enrollment_refuses_every_bad_name(db, name):
+    with pytest.raises(InvariantViolation):
+        bootstrap_apply(db, cmd("enroll-user", name, "CN=new"))
 
 
 def _commands(users, resources, groups, identities, patterns, grantees, objects,

@@ -456,7 +456,8 @@ def test_casd_flag_defaults(cli_files, serve_calls):
 
 @pytest.mark.parametrize("flag, value", [("--config", "casd.conf"),
                                          ("--max-lifetime", "soon"),
-                                         ("--max-lifetime", "-5")])
+                                         ("--max-lifetime", "-5"),
+                                         ("--bootstrap-admin", "")])
 def test_casd_bad_flag_is_a_usage_error(cli_files, serve_calls, capsys, flag, value):
     capsys.readouterr()
     assert _casd(cli_files, flag, value) == EXIT_USAGE

@@ -4,21 +4,25 @@ import os
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casauth.casd.db import (
     CommunityDB,
     PolicyStatement,
     UserEntry,
+    check_identity,
     load_db,
     parse_db,
     save_db,
     serialize_db,
     validate_db,
 )
+from casauth.credential.certs import KIND_IDENTITY, Certificate, ValidityInterval
 from casauth.errors import CasError, InvariantViolation, IoError, ParseError
+from casauth.harness.runtime import make_policy
 from casauth.policy.model import Request
+from casauth.resourced.grants import parse_grant_table, serialize_grant_table
 from casauth.resourced.storage import VirtualRoot, handle_file_op
 
 from genutils import random_db
@@ -61,6 +65,13 @@ def test_identity_may_contain_spaces(tmp_path):
     path = tmp_path / "db"
     save_db(db, path)
     assert load_db(path).users["ann"].identity == "CN=Ann Example, O=ESG"
+
+
+def test_identity_no_certificate_can_carry_is_refused_on_load():
+    data = (b"[users]\nann enrolled CN=a\rb\n[resources]\n[user-groups]\n"
+            b"[resource-groups]\n[statements]\nnext-id 1\n")
+    with pytest.raises(InvariantViolation):
+        parse_db(data)
 
 
 def test_group_member_not_a_user_rejected_on_load():
@@ -206,8 +217,8 @@ def test_save_flushes_the_snapshot_to_disk_before_the_rename(tmp_path, monkeypat
 
 # --- properties of the snapshot text ----------------------------------------------
 
-# Identities are free text apart from the linefeed: spaces, colons, brackets.
-IDENTITIES = st.text(st.characters(blacklist_characters="\n",
+# Identities are free text apart from line breaks: spaces, colons, brackets.
+IDENTITIES = st.text(st.characters(blacklist_characters="\n\r",
                                    blacklist_categories=("Cs",)),
                      min_size=1, max_size=12)
 
@@ -226,6 +237,43 @@ def snapshots(draw) -> bytes:
 @given(snapshots())
 def test_snapshot_text_round_trips(data):
     assert serialize_db(parse_db(data)) == data
+
+
+def _casd_accepts(identity: str) -> bool:
+    try:
+        check_identity("ann", identity)
+    except InvariantViolation:
+        return False
+    return True
+
+
+def _grant_table_accepts(identity: str) -> bool:
+    table = {identity: make_policy([("file", ["read"], ["/esg/*"])])}
+    try:
+        return parse_grant_table(serialize_grant_table(table)) == table
+    except (CasError, UnicodeEncodeError):
+        return False
+
+
+def _certificate_accepts(identity: str) -> bool:
+    try:
+        Certificate(1, identity, "CA", b"key", ValidityInterval(0, 1), KIND_IDENTITY)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=300)
+@example("")
+@example("CN=a\rb")
+@example("CN=a\nb")
+@example("CN=\udcff")
+@given(st.text(st.characters(blacklist_categories=()) | st.sampled_from("\n\r \t\x00"),
+               max_size=6))
+def test_casd_grant_tables_and_certificates_accept_the_same_identities(identity):
+    casd = _casd_accepts(identity)
+    assert _grant_table_accepts(identity) == casd
+    assert _certificate_accepts(identity) == casd
 
 
 _SNAPSHOT_LINES = (

@@ -185,6 +185,9 @@ def test_no_temp_file_is_reachable(tmp_path, monkeypatch):
     ("read", "/absent", NotFound),
     ("read", "/", IsDirectory),
     ("write", "/", IsDirectory),
+    ("read", "/a\x00b", PathEscape),
+    ("write", "/a\x00b", PathEscape),
+    ("list", "/a\x00b", PathEscape),
 ])
 def test_storage_maps_os_errors_and_opens_nothing_outside_the_root(
         tmp_path, monkeypatch, action, name, error):
@@ -309,7 +312,12 @@ def test_grant_table_error_names_the_line_of_the_file():
     assert info.value.line == 11
 
 
-GRANTORS = st.text(st.characters(blacklist_characters="\n",
+def test_grant_table_refuses_a_grantor_no_certificate_can_carry():
+    with pytest.raises(ParseError):
+        parse_grant_table(b"grantor: CN=a\rb\nlang: cas-simple-v1\n")
+
+
+GRANTORS = st.text(st.characters(blacklist_characters="\n\r",
                                  blacklist_categories=("Cs",)),
                    min_size=1, max_size=12)
 

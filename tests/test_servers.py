@@ -552,6 +552,17 @@ def test_handler_failure_is_error_internal_and_the_session_survives(
     assert "handler bug" in caplog.text
 
 
+def test_nul_in_an_object_name_is_path_escape_and_logs_no_traceback(world, caplog):
+    capability, session_key = acquire(world)
+    with ClientSession(world["resource"].address, capability, session_key,
+                       world["store"], clock=world["clock"]) as session:
+        reply = session.request({"msg": "FILE-OP", "action": "read",
+                                 "path": "/esg/data/a\x00b"})
+        assert reply == {"msg": "ERROR", "reason": "path-escape"}
+        assert session.request(WELL_FORMED["resourced"][0])["msg"] == "OK"
+    assert not [record for record in caplog.records if record.exc_info]
+
+
 def test_list_leaves_out_names_that_are_not_utf8(world):
     world["admin"]("grant", "user:alice", "pattern:/esg/mixed", "file", "list")
     mixed = world["root"] / "esg" / "mixed"

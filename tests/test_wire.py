@@ -84,6 +84,35 @@ def test_decode_refuses_the_carriage_return_encode_refuses(payload):
         decode_payload(payload)
 
 
+@pytest.mark.parametrize("key", ["a b", "a:b", "\u00e9 "])
+def test_decode_refuses_the_keys_encode_refuses(key):
+    with pytest.raises(ProtocolError):
+        encode_message({"msg": "OK", key: "x"})
+    with pytest.raises(ProtocolError):
+        decode_payload(f"msg: OK\n{key}: x\n".encode())
+
+
+# Payload lines near the grammar: keys with spaces, colons, control and
+# non-ASCII characters, and line breaks inside a line.
+_PAYLOAD_LINES = st.lists(st.sampled_from(["msg: OK", "msg: ", "a: x", "a: ", "b: c: d"])
+                          | st.text(st.sampled_from("msg: a\t\r\x1c\x00\u00e9"), max_size=8),
+                          min_size=1, max_size=5)
+
+
+@settings(max_examples=300)
+@example(b"msg: OK\na b: x\n")
+@example(b"msg: OK\na:b: x\n")
+@example("msg: OK\n\u00e9 : x\n".encode())
+@given(_PAYLOAD_LINES.map(lambda lines: "\n".join(lines).encode() + b"\n")
+       | st.binary(max_size=40))
+def test_every_payload_decode_accepts_encodes_to_itself(payload):
+    try:
+        fields = decode_payload(payload)
+    except ProtocolError:
+        return
+    assert encode_message(fields) == struct.pack(">I", len(payload)) + payload
+
+
 # Any text at all, surrogates included, weighted towards what a line may not hold.
 _FRAME_TEXT = st.text(st.characters(blacklist_categories=())
                       | st.sampled_from("\n\r: \udcff¡"), max_size=8)
