@@ -4,7 +4,8 @@ The snapshot is a line-oriented text file with five fixed sections. Names
 are listed sorted, and statements in ascending id order, the order
 ``CommunityDB.statements`` always keeps them in. So re-saving a snapshot
 casd wrote is byte-identical; other input that loads (names out of order,
-say) is re-saved in this form. Statements out of id order are refused:
+say) is re-saved in this form. Numbers take only the spelling ``str(n)``
+writes, so ``01`` is refused. Statements out of id order are refused:
 
     [users]
     alice enrolled CN=alice

@@ -31,7 +31,7 @@ from ..credential.certs import CertificateChain, encode_chain
 from ..credential.verify import VerifiedSubject
 from ..clocks import system_clock
 from ..errors import ParseError, RestrictedAuthRefused
-from ..lines import field, nonnegative_int
+from ..lines import field, hex_bytes, nonnegative_int
 from ..policy.model import ALL
 from ..policy.text import parse_policy
 from ..wire.frames import serve_messages
@@ -94,12 +94,12 @@ class CasServer(AuthenticatedServer):
     def _handle_capability(self, message: dict[str, str],
                            subject: VerifiedSubject) -> dict[str, str]:
         if "policy" in message:
-            requested = parse_policy(field(message, "policy", bytes.fromhex))
+            requested = parse_policy(field(message, "policy", hex_bytes))
         elif message.get("want") == "all":
             requested = ALL
         else:
             raise ParseError("REQUEST-CAPABILITY needs want: all or policy: <hex>")
-        session_pk = field(message, "session-pk", bytes.fromhex)
+        session_pk = field(message, "session-pk", hex_bytes)
         if not session_pk:
             raise ParseError("REQUEST-CAPABILITY needs session-pk")
         lifetime = (field(message, "lifetime", nonnegative_int) if "lifetime" in message

@@ -13,7 +13,7 @@ from ..clocks import system_clock
 from ..credential.certs import CertificateChain, decode_chain
 from ..credential.keys import DEFAULT_SCHEME
 from ..errors import REPLY_ERRORS, Denied, ProtocolError
-from ..lines import field, split_lines
+from ..lines import field, hex_bytes, split_lines
 from ..policy.model import ALL, PolicyDocument
 from ..policy.text import serialize_policy
 from .session import ClientSession
@@ -63,7 +63,7 @@ def acquire_capability(cas_endpoint: tuple[str, int], user_chain: CertificateCha
         reply = expect_reply(
             session.request(capability_request_fields(want, session_pk, lifetime)),
             "CAPABILITY")
-    chain = decode_chain(field(reply, "chain", bytes.fromhex))
+    chain = decode_chain(field(reply, "chain", hex_bytes))
     return chain, session_key
 
 
@@ -83,9 +83,9 @@ def file_op(resource_endpoint: tuple[str, int], capability_chain: CertificateCha
                        trust_store, clock=clock) as session:
         reply = expect_reply(session.request(fields), "OK")
     if action == "read":
-        return field(reply, "data", bytes.fromhex)
+        return field(reply, "data", hex_bytes)
     if action == "list":
-        names = field(reply, "data", bytes.fromhex)
+        names = field(reply, "data", hex_bytes)
         return split_lines(names + b"\n") if names else []
     return None
 

@@ -28,15 +28,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import MissingField, ParseError
+from ..errors import Expired, MissingField, ParseError
 from ..lines import (
     field,
+    hex_bytes,
     is_identity,
-    is_line,
     is_token,
     join_blocks,
     join_lines,
     key_values,
+    nonnegative_int,
     read_file,
     split_blocks,
     split_lines,
@@ -64,6 +65,11 @@ class ValidityInterval:
 
     def contains(self, t: int) -> bool:
         return self.not_before <= t <= self.not_after
+
+    def check(self, t: int) -> None:
+        """Expired unless ``t`` lies in the interval."""
+        if not self.contains(t):
+            raise Expired(f"time {t} outside [{self.not_before}, {self.not_after}]")
 
     def intersect(self, other: "ValidityInterval") -> "ValidityInterval":
         return ValidityInterval(max(self.not_before, other.not_before),
@@ -101,17 +107,15 @@ class Certificate:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
-        if self.serial < 0:
-            raise ValueError("serial must be nonnegative")
+        if min(self.serial, self.validity.not_before, self.validity.not_after) < 0:
+            raise ValueError("serial and validity bounds must be nonnegative")
         for name, what in ((self.subject_name, "subject"), (self.issuer_name, "issuer")):
             if not is_identity(name):
                 raise ValueError(f"{what} name must be a nonempty single line")
         if not self.subject_public_key:
             raise ValueError("subject public key must be nonempty")
-        if self.proxy_group is not None:
-            pg = self.proxy_group
-            if pg.split() != [pg] or not is_line(pg):
-                raise ValueError("proxy group must be a nonempty token")
+        if self.proxy_group is not None and not is_token(self.proxy_group):
+            raise ValueError("proxy group must be a nonempty token")
 
 
 @dataclass(frozen=True)
@@ -170,22 +174,22 @@ def _certificate_from_lines(lines: list[str], first_line: int) -> Certificate:
                 raise MissingField(f"missing field {key!r}")
         try:
             restriction = RestrictionPolicy(fields["policy-lang"],
-                                            field(fields, "policy-body", bytes.fromhex))
+                                            field(fields, "policy-body", hex_bytes))
         except ValueError as exc:
             raise ParseError(str(exc)) from None
 
     try:
         cert = Certificate(
-            serial=field(fields, "serial", int),
+            serial=field(fields, "serial", nonnegative_int),
             subject_name=field(fields, "subject", str),
             issuer_name=field(fields, "issuer", str),
-            subject_public_key=field(fields, "subject-pk", bytes.fromhex),
-            validity=ValidityInterval(field(fields, "not-before", int),
-                                      field(fields, "not-after", int)),
+            subject_public_key=field(fields, "subject-pk", hex_bytes),
+            validity=ValidityInterval(field(fields, "not-before", nonnegative_int),
+                                      field(fields, "not-after", nonnegative_int)),
             kind=field(fields, "kind", str),
             restriction=restriction,
             proxy_group=fields.get("proxy-group"),
-            signature=field(fields, "sig", bytes.fromhex),
+            signature=field(fields, "sig", hex_bytes),
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from None

@@ -101,8 +101,7 @@ def verify_chain(chain: CertificateChain, trust_store, now: int,
         validity = effective_validity(chain)
     except EmptyIntersection as exc:
         raise Expired(str(exc)) from None
-    if not validity.contains(now):
-        raise Expired(f"time {now} outside [{validity.not_before}, {validity.not_after}]")
+    validity.check(now)
 
     restrictions = tuple(c.restriction for c in chain.certs if c.restriction is not None)
     if restrictions:

@@ -15,7 +15,7 @@ from typing import Any
 from .credential.certs import CertificateChain, certificates_from_lines, encode_chain
 from .credential.keys import DEFAULT_SCHEME
 from .errors import ParseError
-from .lines import join_lines, read_file, split_lines, write_file
+from .lines import hex_bytes, join_lines, read_file, split_lines, write_file
 
 _KEY_PREFIX = "private-key: "
 
@@ -33,7 +33,7 @@ def load_credential(path):
         raise ParseError("credential file must end with a private-key line",
                          line=len(lines))
     try:
-        key_bytes = bytes.fromhex(lines[-1][len(_KEY_PREFIX):])
+        key_bytes = hex_bytes(lines[-1][len(_KEY_PREFIX):])
         private_key = DEFAULT_SCHEME.load_private(key_bytes)
     except ValueError as exc:
         raise ParseError(f"bad private key: {exc}", line=len(lines)) from None

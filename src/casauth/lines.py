@@ -5,9 +5,10 @@ text, grant tables, the community snapshot and wire payloads are all UTF-8
 text with exactly one linefeed after each line. Several are ``key: value``
 fields, and the files holding several records separate them with a
 ``----`` line. Decoders take a ``first_line`` so that an error inside an
-embedded record names its line in the whole file. The text rules those
-formats share are defined here once: is_token, is_line, is_identity, is_key
-and nonnegative_int.
+embedded record names its line in the whole file. The rules those formats
+share are defined here once: is_token, is_line, is_identity and is_key for
+text, and nonnegative_int and hex_bytes, which read back only the text
+``str(n)`` and ``data.hex()`` write, for values.
 """
 
 from __future__ import annotations
@@ -46,10 +47,17 @@ def is_key(text: str) -> bool:
 
 
 def nonnegative_int(value: str) -> int:
-    """A whole, nonnegative decimal number; ValueError for anything else."""
-    if not (value.isascii() and value.isdigit()):
+    """The n >= 0 that ``str(n)`` wrote as ``value``; ValueError for any other text."""
+    if not (value.isascii() and value.isdigit()) or (value[0] == "0" and value != "0"):
         raise ValueError(f"not a nonnegative whole number: {value!r}")
     return int(value)
+
+
+def hex_bytes(text: str) -> bytes:
+    """The bytes whose ``.hex()`` is ``text``; ValueError for any other text."""
+    if (data := bytes.fromhex(text)).hex() != text:
+        raise ValueError("not lower-case hex without spaces")
+    return data
 
 
 def split_lines(data: bytes) -> list[str]:

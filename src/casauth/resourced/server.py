@@ -25,7 +25,7 @@ from typing import Any, Callable
 from ..clocks import system_clock
 from ..credential.certs import CertificateChain
 from ..errors import Denied, ParseError
-from ..lines import field
+from ..lines import field, hex_bytes
 from ..policy.engine import EvaluatorRegistry
 from ..policy.model import Request
 from ..wire.frames import serve_messages
@@ -64,7 +64,7 @@ class ResourceServer(AuthenticatedServer):
 
     def _handle_file_op(self, message: dict[str, str], subject) -> dict[str, str]:
         action = message.get("action", "")
-        payload = field(message, "data", bytes.fromhex) if "data" in message else None
+        payload = field(message, "data", hex_bytes) if "data" in message else None
         try:
             req = Request(message.get("service", "file"), action,
                           canonical_name(message.get("path", "")))

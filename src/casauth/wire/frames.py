@@ -12,7 +12,7 @@ import struct
 from typing import Mapping
 
 from ..errors import ParseError, ProtocolError, TransportError
-from ..lines import is_key, is_line, join_lines, key_values, split_lines
+from ..lines import is_key, is_line, join_lines, key_values, nonnegative_int, split_lines
 
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
@@ -20,9 +20,12 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 def split_endpoint(endpoint: str) -> tuple[str, int]:
     """``host:port`` with a decimal port from 0 to 65535."""
     host, sep, port = endpoint.rpartition(":")
-    if not sep or not (port.isascii() and port.isdigit()) or int(port) > 65535:
-        raise ParseError(f"endpoint must be host:port, got {endpoint!r}")
-    return host, int(port)
+    try:
+        if sep and (number := nonnegative_int(port)) <= 65535:
+            return host, number
+    except ValueError:
+        pass
+    raise ParseError(f"endpoint must be host:port, got {endpoint!r}")
 
 
 def encode_message(fields: Mapping[str, str]) -> bytes:

@@ -9,8 +9,8 @@
 Each side verifies the other's chain against its own trust store and
 checks proof of possession of the leaf key. Nonce order differs per
 direction so one side's signature can never be replayed as the other's.
-On failure the server sends a terminal ERROR frame (reason ``expired`` or
-``auth``) and closes; nothing else is revealed.
+The server answers a refused HELLO with a terminal ERROR frame (``expired``
+or ``auth``) and a refused RESPONSE by closing, and reveals nothing more.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from ..credential.certs import CertificateChain, decode_chain, encode_chain
 from ..credential.keys import DEFAULT_SCHEME
 from ..credential.verify import EnforcementContext, VerifiedSubject, verify_chain
 from ..errors import CasError, Expired, HandshakeError, ProtocolError
+from ..lines import field, hex_bytes
 from .frames import read_message, send_message
 
 NONCE_BYTES = 16
@@ -32,14 +33,11 @@ def _nonce() -> bytes:
     return os.urandom(NONCE_BYTES)
 
 
-def _hex_bytes(fields: dict[str, str], key: str, expected_len: int | None = None) -> bytes:
-    try:
-        value = bytes.fromhex(fields[key])
-    except (KeyError, ValueError):
-        raise HandshakeError(f"missing or malformed field {key!r}") from None
-    if expected_len is not None and len(value) != expected_len:
-        raise HandshakeError(f"field {key!r} must be {expected_len} bytes")
-    return value
+def _peer_nonce(fields: dict[str, str]) -> bytes:
+    nonce = field(fields, "nonce", hex_bytes)
+    if len(nonce) != NONCE_BYTES:
+        raise HandshakeError(f"a nonce must be {NONCE_BYTES} bytes")
+    return nonce
 
 
 def _receive(sock: socket.socket, msg_type: str) -> dict[str, str]:
@@ -72,9 +70,9 @@ def server_handshake(sock: socket.socket, chain: CertificateChain, leaf_key: Any
     when the client does not authenticate.
     """
     hello = _receive(sock, "HELLO")
-    client_nonce = _hex_bytes(hello, "nonce", NONCE_BYTES)
     try:
-        client_chain = decode_chain(_hex_bytes(hello, "chain"))
+        client_nonce = _peer_nonce(hello)
+        client_chain = decode_chain(field(hello, "chain", hex_bytes))
         subject = verify_chain(client_chain, trust_store, now, ctx)
     except CasError as exc:
         reason = "expired" if isinstance(exc, Expired) else "auth"
@@ -92,7 +90,7 @@ def server_handshake(sock: socket.socket, chain: CertificateChain, leaf_key: Any
         "sig": DEFAULT_SCHEME.sign(leaf_key, client_nonce + server_nonce).hex(),
     })
 
-    sig = _hex_bytes(_receive(sock, "RESPONSE"), "sig")
+    sig = field(_receive(sock, "RESPONSE"), "sig", hex_bytes)
     if not DEFAULT_SCHEME.verify(subject.leaf_public_key,
                                  server_nonce + client_nonce, sig):
         raise HandshakeError("client failed proof of possession")
@@ -112,13 +110,13 @@ def client_handshake(sock: socket.socket, chain: CertificateChain, leaf_key: Any
         "nonce": client_nonce.hex(),
     })
     challenge = _receive(sock, "CHALLENGE")
-    server_nonce = _hex_bytes(challenge, "nonce", NONCE_BYTES)
     try:
-        server_chain = decode_chain(_hex_bytes(challenge, "chain"))
+        server_nonce = _peer_nonce(challenge)
+        server_chain = decode_chain(field(challenge, "chain", hex_bytes))
+        sig = field(challenge, "sig", hex_bytes)
     except CasError as exc:
-        raise HandshakeError(f"undecodable server chain: {exc}") from None
+        raise HandshakeError(f"undecodable CHALLENGE: {exc}") from None
     peer = verify_chain(server_chain, trust_store, now, EnforcementContext())
-    sig = _hex_bytes(challenge, "sig")
     if not DEFAULT_SCHEME.verify(peer.leaf_public_key, client_nonce + server_nonce, sig):
         raise HandshakeError("server failed proof of possession")
     send_message(sock, {

@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 from ..credential.certs import CertificateChain
 from ..credential.verify import EnforcementContext, VerifiedSubject
-from ..errors import BadRequest, CasError, Expired, Refused, TransportError
+from ..errors import BadRequest, CasError, Refused, TransportError
 from ..policy.model import LANGUAGE
 
 SESSION_TIMEOUT = 30.0
@@ -109,10 +109,7 @@ class AuthenticatedServer:
         kind = message["msg"]
         try:
             # Validity was checked at the handshake; a session may outlive it.
-            now, validity = self._clock(), subject.effective_validity
-            if not validity.contains(now):
-                raise Expired(f"time {now} outside "
-                              f"[{validity.not_before}, {validity.not_after}]")
+            subject.effective_validity.check(self._clock())
             handler = self.handlers.get(kind)
             if handler is None:
                 raise BadRequest(f"no message type {kind!r}")

@@ -60,6 +60,11 @@ def random_interval(rng: random.Random, lo: int = 0, hi: int = 200) -> ValidityI
 _WORDS = ("alpha", "beta", "gamma", "delta", "iota", "kappa", "scratch", "esg")
 
 
+def spaced_hex(text: str) -> str:
+    """Hex text with a space between bytes, a spelling bytes.hex() never writes."""
+    return " ".join(text[i:i + 2] for i in range(0, len(text), 2))
+
+
 def random_name(rng: random.Random) -> str:
     return f"{rng.choice(_WORDS)}-{rng.randrange(1000)}"
 

@@ -158,7 +158,7 @@ def test_grant_and_revoke(db):
         bootstrap_apply(db, cmd("revoke", str(granted[0].id)))
 
 
-@pytest.mark.parametrize("number", ["+1", "1_0", "\u0661"])
+@pytest.mark.parametrize("number", ["+1", "1_0", "\u0661", "01", "007"])
 def test_revoke_takes_a_plain_decimal_id(db, number):
     db = bootstrap_apply(db, *[cmd("grant", "user:alice", "resource:esg-data",
                                    "file", "read")] * 10)

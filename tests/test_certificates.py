@@ -1,5 +1,6 @@
 """Canonical certificate encoding: round trips, strictness, field errors."""
 
+import dataclasses
 import random
 
 import pytest
@@ -81,6 +82,13 @@ def test_uppercase_hex_rejected(rng):
     lines[pk_line] = lines[pk_line].upper().replace("SUBJECT-PK", "subject-pk")
     with pytest.raises(ParseError):
         decode_certificate("\n".join(lines).encode())
+
+
+@pytest.mark.parametrize("group", ["a\x00b", "\u00e9"], ids=["nul", "non-ascii"])
+def test_proxy_group_that_is_not_a_token_refused(rng, group):
+    cert = random_certificate(rng)
+    with pytest.raises(ValueError, match="proxy group"):
+        dataclasses.replace(cert, kind="proxy", proxy_group=group)
 
 
 def test_missing_final_newline_rejected(rng):

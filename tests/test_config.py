@@ -19,7 +19,7 @@ def test_split_endpoint():
     assert split_endpoint("::1:0") == ("::1", 0)
     assert split_endpoint("h:65535") == ("h", 65535)
     for bad in ("no-port", "h:", "h:notaport", "h:65536", "h:-1", "h:+1",
-                "h: 1", "h:\u0661"):
+                "h: 1", "h:\u0661", "h:080"):
         with pytest.raises(ParseError):
             split_endpoint(bad)
 
@@ -48,6 +48,18 @@ def test_credential_file_without_key_line_rejected(tmp_path, ca, rng):
     path = tmp_path / "broken.cred"
     path.write_bytes(encode_chain(chain))
     with pytest.raises(ParseError):
+        load_credential(path)
+
+
+def test_credential_with_upper_case_key_refused(tmp_path, ca, rng):
+    chain, key = ca.issue_credential("CN=alice", ValidityInterval(0, 10**9),
+                                     rng=rng)
+    path = tmp_path / "alice.cred"
+    save_credential(path, chain, key)
+    lines = path.read_text().split("\n")
+    lines[-2] = "private-key: " + DEFAULT_SCHEME.private_bytes(key).hex().upper()
+    path.write_text("\n".join(lines))
+    with pytest.raises(ParseError, match="private key"):
         load_credential(path)
 
 

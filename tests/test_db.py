@@ -141,8 +141,9 @@ def test_next_id_must_exceed_existing():
         validate_db(db)
 
 
-@pytest.mark.parametrize("number", ["+1", "1_0", "\u0661"],
-                         ids=["plus", "underscore", "arabic-indic"])
+@pytest.mark.parametrize("number", ["+1", "1_0", "\u0661", "01", "007"],
+                         ids=["plus", "underscore", "arabic-indic", "leading-zero",
+                              "leading-zeros"])
 @pytest.mark.parametrize("statements", ["next-id {}\n",
                                         "next-id 20\n{} user:alice pattern:/a/* file read\n"],
                          ids=["next-id", "statement-id"])

@@ -58,6 +58,8 @@ from casauth.lines import TEMP_PREFIX
 from casauth.wire.frames import encode_message, read_message, send_message
 from casauth.wire.handshake import client_handshake
 
+from genutils import spaced_hex
+
 WIDE = ValidityInterval(0, 4_000_000_000)
 BOOTSTRAP = "CN=admin"
 
@@ -513,10 +515,18 @@ def test_every_answer_is_in_the_vocabulary_and_the_session_survives(world, serve
         answers()
 
 
+_PK_HEX = DEFAULT_SCHEME.generate()[0].hex()
+_POLICY_HEX = serialize_policy(make_policy([("file", ["read"], ["/esg/data/*"])])).hex()
+
+
 @pytest.mark.parametrize("fields", [
     {"session-pk": "zz"}, {"lifetime": "-5"}, {"lifetime": "soon"},
-    {"policy": "not hex"},
-], ids=["session-pk", "lifetime-negative", "lifetime-word", "policy"])
+    {"policy": "not hex"}, {"session-pk": _PK_HEX.upper()},
+    {"session-pk": spaced_hex(_PK_HEX)}, {"policy": _POLICY_HEX.upper()},
+    {"policy": spaced_hex(_POLICY_HEX)}, {"lifetime": "007"},
+], ids=["session-pk", "lifetime-negative", "lifetime-word", "policy",
+        "session-pk-upper-case", "session-pk-spaced", "policy-upper-case",
+        "policy-spaced", "lifetime-leading-zeros"])
 def test_casd_field_that_does_not_decode_is_error_parse(world, fields):
     request = {"msg": "REQUEST-CAPABILITY", "want": "all",
                "session-pk": DEFAULT_SCHEME.generate()[0].hex(), **fields}
@@ -524,8 +534,10 @@ def test_casd_field_that_does_not_decode_is_error_parse(world, fields):
         assert session.request(request) == {"msg": "ERROR", "reason": "parse"}
 
 
-def test_resourced_data_that_does_not_decode_is_error_parse(world):
-    request = {"msg": "FILE-OP", "action": "write", "path": "/esg/data/n", "data": "zz"}
+@pytest.mark.parametrize("data", ["zz", "4A", "41 42"],
+                         ids=["not-hex", "upper-case", "spaced"])
+def test_resourced_data_that_does_not_decode_is_error_parse(world, data):
+    request = {"msg": "FILE-OP", "action": "write", "path": "/esg/data/n", "data": data}
     with open_session(world, "resourced") as session:
         assert session.request(request) == {"msg": "ERROR", "reason": "parse"}
 

@@ -14,6 +14,7 @@ from casauth.credential.issue import CertificateAuthority
 from casauth.credential.keys import DEFAULT_SCHEME
 from casauth.credential.verify import EnforcementContext
 from casauth.errors import Expired, HandshakeError, ProtocolError, TransportError
+from casauth.lines import hex_bytes, nonnegative_int
 from casauth.wire.frames import (
     decode_payload,
     encode_message,
@@ -21,6 +22,8 @@ from casauth.wire.frames import (
     send_message,
 )
 from casauth.wire.handshake import client_handshake, server_handshake
+
+from genutils import spaced_hex
 
 WIDE = ValidityInterval(0, 4_000_000_000)
 NOW = 1_000_000
@@ -111,6 +114,25 @@ def test_every_payload_decode_accepts_encodes_to_itself(payload):
     except ProtocolError:
         return
     assert encode_message(fields) == struct.pack(">I", len(payload)) + payload
+
+
+# Any text, weighted towards digits, hex digits and spellings their encoders never write.
+_VALUE_TEXT = st.text(st.sampled_from("0123456789abcdefABCDEF +-_ \t\u0661"), max_size=8)
+
+
+@settings(max_examples=300)
+@example("0")
+@example("00")
+@example("0a")
+@given(_VALUE_TEXT | st.text(max_size=8))
+@pytest.mark.parametrize("decode, encode", [(hex_bytes, bytes.hex), (nonnegative_int, str)],
+                         ids=["hex_bytes", "nonnegative_int"])
+def test_each_value_decoder_reads_only_what_its_encoder_writes(decode, encode, text):
+    try:
+        value = decode(text)
+    except ValueError:
+        return
+    assert encode(value) == text
 
 
 # Any text at all, surrogates included, weighted towards what a line may not hold.
@@ -291,3 +313,43 @@ def test_each_handshake_read_refuses_what_is_not_its_message(rng, read, bad):
         assert "client_error" not in results, results
         error = results.get("server_error")
     assert isinstance(error, HandshakeError), results
+
+
+_NONCE = bytes(range(0xa0, 0xb0))
+_NONCE_HEX = _NONCE.hex()
+
+
+@pytest.mark.parametrize("nonce", ["zz", _NONCE_HEX.upper(), spaced_hex(_NONCE_HEX),
+                                   _NONCE_HEX[2:], None],
+                         ids=["not-hex", "upper-case", "spaced", "short", "missing"])
+def test_every_refused_hello_is_answered_error_auth(rng, nonce):
+    ca, (s_chain, s_key), (c_chain, _) = make_parties(rng)
+    hello = {"msg": "HELLO", "chain": encode_chain(c_chain).hex()}
+    if nonce is not None:
+        hello["nonce"] = nonce
+
+    def fake_client(sock):
+        send_message(sock, hello)
+        return read_message(sock)
+
+    results = run_handshake(
+        lambda sock: server_handshake(sock, s_chain, s_key, {ca.certificate}, UNWILLING, NOW),
+        fake_client)
+    assert results["client"] == {"msg": "ERROR", "reason": "auth"}, results
+    assert "server_error" in results
+
+
+@pytest.mark.parametrize("spell", [str.upper, spaced_hex], ids=["upper-case", "spaced"])
+def test_client_refuses_a_challenge_nonce_spelled_otherwise(rng, spell):
+    ca, (s_chain, s_key), (c_chain, c_key) = make_parties(rng)
+
+    def fake_server(sock):
+        client_nonce = bytes.fromhex(read_message(sock)["nonce"])
+        sig = DEFAULT_SCHEME.sign(s_key, client_nonce + _NONCE)
+        send_message(sock, {"msg": "CHALLENGE", "chain": encode_chain(s_chain).hex(),
+                            "nonce": spell(_NONCE_HEX), "sig": sig.hex()})
+        read_message(sock)
+
+    results = run_handshake(
+        fake_server, lambda sock: client_handshake(sock, c_chain, c_key, {ca.certificate}, NOW))
+    assert isinstance(results.get("client_error"), HandshakeError), results
