@@ -130,7 +130,7 @@ def _mutate(db: CommunityDB, cmd: AdminCommand) -> None:
         entry = db.users.get(args[0])
         if entry is None:
             raise UnknownName(f"no user {args[0]!r}")
-        entry.enrolled = False
+        db.users[args[0]] = UserEntry(entry.identity, False)
         for members in db.user_groups.values():
             members.discard(args[0])
 

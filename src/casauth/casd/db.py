@@ -28,10 +28,14 @@ are ``resource:<name>``, ``rgroup:<resource group>``, or a literal
 ``pattern:<object pattern>``. The ``next-id`` line preserves the statement
 counter across revocations. Trust anchors are not part of the snapshot:
 casd takes them from its trust-store file.
+
+Loaded records are frozen and slotted. ``parse_db`` makes each group member
+the string of its key, and each kind, service and action one shared string.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from ..errors import InvariantViolation, ParseError
@@ -49,13 +53,13 @@ _SECTIONS = ("[users]", "[resources]", "[user-groups]", "[resource-groups]",
              "[statements]")
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class UserEntry:
     identity: str
     enrolled: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolicyStatement:
     id: int
     grantee_kind: str
@@ -76,9 +80,9 @@ class CommunityDB:
     next_statement_id: int = 1
 
     def clone(self) -> "CommunityDB":
-        # statements are frozen, so a shallow copy of their list suffices
+        # user entries and statements are frozen, so shallow copies suffice
         return CommunityDB(
-            users={k: UserEntry(v.identity, v.enrolled) for k, v in self.users.items()},
+            users=dict(self.users),
             resources=dict(self.resources),
             user_groups={k: set(v) for k, v in self.user_groups.items()},
             resource_groups={k: set(v) for k, v in self.resource_groups.items()},
@@ -87,9 +91,9 @@ class CommunityDB:
         )
 
 
-def _check(cond: bool, message: str) -> None:
+def _check(cond: bool, message: str, *args) -> None:
     if not cond:
-        raise InvariantViolation(message)
+        raise InvariantViolation(message % args)
 
 
 # Each rule below is checked by ``validate_db`` over a whole snapshot and by
@@ -133,7 +137,7 @@ def validate_db(db: CommunityDB) -> None:
         check_identity(name, entry.identity)
         if entry.enrolled:
             _check(entry.identity not in identities_seen,
-                   f"identity {entry.identity!r} enrolled twice")
+                   "identity %r enrolled twice", entry.identity)
             identities_seen.add(entry.identity)
     for name, pattern in db.resources.items():
         check_name("resource", name)
@@ -141,39 +145,43 @@ def validate_db(db: CommunityDB) -> None:
     for group, members in db.user_groups.items():
         check_name("group", group)
         _check(group not in db.resource_groups,
-               f"group name {group!r} used for both kinds")
+               "group name %r used for both kinds", group)
         for member in members:
-            _check(member in db.users, f"group {group!r} member {member!r} not a user")
+            _check(member in db.users, "group %r member %r not a user", group, member)
             _check(db.users[member].enrolled,
-                   f"group {group!r} member {member!r} is not enrolled")
+                   "group %r member %r is not enrolled", group, member)
     for group, members in db.resource_groups.items():
         check_name("group", group)
         for member in members:
             _check(member in db.resources,
-                   f"resource group {group!r} member {member!r} not a resource")
+                   "resource group %r member %r not a resource", group, member)
     previous = 0
+    actions_seen: set[tuple[str, str]] = set()
     for stmt in db.statements:
-        _check(stmt.id > previous, f"statement id {stmt.id} not above {previous}")
+        _check(stmt.id > previous, "statement id %s not above %s", stmt.id, previous)
         previous = stmt.id
         if stmt.grantee_kind == GRANTEE_USER:
             _check(stmt.grantee in db.users,
-                   f"statement {stmt.id} grantee {stmt.grantee!r} not a user")
+                   "statement %s grantee %r not a user", stmt.id, stmt.grantee)
         elif stmt.grantee_kind == GRANTEE_GROUP:
             _check(stmt.grantee in db.user_groups,
-                   f"statement {stmt.id} grantee {stmt.grantee!r} not a user group")
+                   "statement %s grantee %r not a user group", stmt.id, stmt.grantee)
         else:
             raise InvariantViolation(f"statement {stmt.id}: bad grantee kind")
         if stmt.object_kind == OBJECT_RESOURCE:
             _check(stmt.object_ref in db.resources,
-                   f"statement {stmt.id} object {stmt.object_ref!r} not a resource")
+                   "statement %s object %r not a resource", stmt.id, stmt.object_ref)
         elif stmt.object_kind == OBJECT_RGROUP:
             _check(stmt.object_ref in db.resource_groups,
-                   f"statement {stmt.id} object {stmt.object_ref!r} not a resource group")
+                   "statement %s object %r not a resource group", stmt.id, stmt.object_ref)
         elif stmt.object_kind == OBJECT_PATTERN:
             check_pattern(stmt.object_ref, "statement", stmt.id)
         else:
             raise InvariantViolation(f"statement {stmt.id}: bad object kind")
-        check_action(stmt.service_type, stmt.action_name, "statement", stmt.id)
+        # a bad action fails at its first statement, so each pair is checked once
+        if (stmt.service_type, stmt.action_name) not in actions_seen:
+            check_action(stmt.service_type, stmt.action_name, "statement", stmt.id)
+            actions_seen.add((stmt.service_type, stmt.action_name))
     _check(db.next_statement_id > previous,
            "next statement id must be positive and exceed every statement id")
 
@@ -217,6 +225,7 @@ def parse_tagged(token: str, kinds: tuple[str, ...],
 
 def parse_db(data: bytes) -> CommunityDB:
     db = CommunityDB()
+    share = sys.intern  # one string object for each name that repeats
     section = None
     saw_next_id = False
     expected = list(_SECTIONS)
@@ -234,23 +243,22 @@ def parse_db(data: bytes) -> CommunityDB:
             name, flag, identity = parts
             if name in db.users:
                 raise ParseError(f"duplicate user {name!r}", line=i)
-            db.users[name] = UserEntry(identity, flag == "enrolled")
+            db.users[share(name)] = UserEntry(identity, flag == "enrolled")
         elif section == "[resources]":
             parts = line.split(" ")
             if len(parts) != 2:
                 raise ParseError("expected '<name> <pattern>'", line=i)
             if parts[0] in db.resources:
                 raise ParseError(f"duplicate resource {parts[0]!r}", line=i)
-            db.resources[parts[0]] = parts[1]
+            db.resources[share(parts[0])] = parts[1]
         elif section in ("[user-groups]", "[resource-groups]"):
             name, sep, rest = line.partition(":")
             if not sep:
                 raise ParseError("expected '<group>: members...'", line=i)
-            members = rest.split()
             target = db.user_groups if section == "[user-groups]" else db.resource_groups
             if name in target:
                 raise ParseError(f"duplicate group {name!r}", line=i)
-            target[name] = set(members)
+            target[share(name)] = set(map(share, rest.split()))
         elif section == "[statements]":
             if line.startswith("next-id "):
                 if saw_next_id:
@@ -272,8 +280,10 @@ def parse_db(data: bytes) -> CommunityDB:
             gk, gv = parse_tagged(parts[1], (GRANTEE_USER, GRANTEE_GROUP), i)
             ok, ov = parse_tagged(parts[2], (OBJECT_RESOURCE, OBJECT_RGROUP,
                                              OBJECT_PATTERN), i)
-            db.statements.append(PolicyStatement(stmt_id, gk, gv, ok, ov,
-                                                 parts[3], parts[4]))
+            # grantees stay unshared, next to their statements: issuance scans every
+            # statement, and comparing with a shared name is a random memory access
+            db.statements.append(PolicyStatement(stmt_id, share(gk), gv, share(ok), ov,
+                                                 share(parts[3]), share(parts[4])))
         else:
             raise ParseError(f"content before first section: {line!r}", line=i)
     if expected:

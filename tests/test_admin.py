@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casauth.casd.admin import AdminCommand, _mutate, apply_admin, authorize_admin
+from casauth.casd.admin import _VERBS, AdminCommand, _mutate, apply_admin, authorize_admin
 from casauth.casd.db import CommunityDB, parse_db, serialize_db, validate_db
 from casauth.errors import (
     CasError,
@@ -182,6 +182,34 @@ def test_failed_command_leaves_db_unchanged(db):
     with pytest.raises(InvariantViolation):
         apply_admin(db, BOOTSTRAP, cmd("group-add", "proj-climate", "mallory"),
                     BOOTSTRAP)
+    assert serialize_db(db) == before
+
+
+# one command of each verb that succeeds on the database below
+_SUCCESSFUL = (
+    cmd("enroll-user", "ann", "CN=ann"),
+    cmd("unenroll-user", "alice"),
+    cmd("enroll-resource", "esg-more", "/esg/more/*"),
+    cmd("create-group", "resource", "esg-sets"),
+    cmd("group-add", "proj-ocean", "alice"),
+    cmd("group-remove", "proj-climate", "alice"),
+    cmd("grant", "user:pi", "resource:esg-data", "file", "read"),
+    cmd("revoke", "1"),
+)
+
+
+def test_every_verb_has_a_successful_command():
+    assert {c.verb for c in _SUCCESSFUL} == set(_VERBS)
+
+
+@pytest.mark.parametrize("command", _SUCCESSFUL, ids=lambda c: c.verb)
+def test_successful_command_leaves_db_unchanged(db, command):
+    # a copy shares its frozen user entries and statements with its input
+    db = bootstrap_apply(db, cmd("group-add", "proj-climate", "alice"),
+                         cmd("grant", "user:alice", "resource:esg-data", "file", "read"))
+    before = serialize_db(db)
+    after = apply_admin(db, BOOTSTRAP, command, BOOTSTRAP)
+    assert serialize_db(after) != before
     assert serialize_db(db) == before
 
 

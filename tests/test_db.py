@@ -1,5 +1,6 @@
 """Community database snapshots: round trips, canonical form, validation."""
 
+import dataclasses
 import os
 import random
 
@@ -141,6 +142,102 @@ def test_next_id_must_exceed_existing():
         validate_db(db)
 
 
+def _add_statement(grantee, obj, service="file", action="read"):
+    def add(db):
+        (gk, gv), (ok, ov) = grantee.split(":", 1), obj.split(":", 1)
+        db.statements.append(PolicyStatement(5, gk, gv, ok, ov, service, action))
+        db.next_statement_id = 6
+    return add
+
+
+# One broken database per rule, with the exact text of its refusal.
+_BROKEN = {
+    "user name": (lambda db: db.users.update({"a b": UserEntry("CN=ab")}),
+                  "bad user name 'a b'"),
+    "identity": (lambda db: db.users.update({"ann": UserEntry("CN=a\rb")}),
+                 "bad identity for user 'ann'"),
+    "identity twice": (lambda db: db.users.update({"ann": UserEntry("CN=alice")}),
+                       "identity 'CN=alice' enrolled twice"),
+    "resource name": (lambda db: db.resources.update({"x*": "/x"}),
+                      "bad resource name 'x*'"),
+    "resource pattern": (lambda db: db.resources.update({"x": "/**"}),
+                         "resource 'x': '*' may appear only as trailing '/*' or alone: '/**'"),
+    "group name": (lambda db: db.user_groups.update({"a:b": set()}),
+                   "bad group name 'a:b'"),
+    "both kinds": (lambda db: db.resource_groups.update({"climate": set()}),
+                   "group name 'climate' used for both kinds"),
+    "member not a user": (lambda db: db.user_groups["ocean"].add("ghost"),
+                          "group 'ocean' member 'ghost' not a user"),
+    "member not enrolled": (lambda db: db.user_groups["ocean"].add("bob"),
+                            "group 'ocean' member 'bob' is not enrolled"),
+    "resource group member": (lambda db: db.resource_groups["esg-sets"].add("ghost"),
+                              "resource group 'esg-sets' member 'ghost' not a resource"),
+    "statement order": (lambda db: db.statements.reverse(),
+                        "statement id 1 not above 4"),
+    "user grantee": (_add_statement("user:ghost", "pattern:/x/*"),
+                     "statement 5 grantee 'ghost' not a user"),
+    "group grantee": (_add_statement("group:ghost", "pattern:/x/*"),
+                      "statement 5 grantee 'ghost' not a user group"),
+    "grantee kind": (_add_statement("owner:alice", "pattern:/x/*"),
+                     "statement 5: bad grantee kind"),
+    "resource object": (_add_statement("user:alice", "resource:ghost"),
+                        "statement 5 object 'ghost' not a resource"),
+    "rgroup object": (_add_statement("user:alice", "rgroup:ghost"),
+                      "statement 5 object 'ghost' not a resource group"),
+    "object pattern": (_add_statement("user:alice", "pattern:/**"),
+                       "statement 5: '*' may appear only as trailing '/*' or alone: '/**'"),
+    "object kind": (_add_statement("user:alice", "file:/x"),
+                    "statement 5: bad object kind"),
+    "action": (_add_statement("user:alice", "pattern:/x/*", "file", "Read"),
+               "statement 5: action name must be a lowercase ASCII token without whitespace"
+               " or colons: 'Read'"),
+    "next-id": (lambda db: setattr(db, "next_statement_id", 4),
+                "next statement id must be positive and exceed every statement id"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_BROKEN))
+def test_each_rule_reports_its_exact_violation(rule):
+    break_db, message = _BROKEN[rule]
+    db = populated_db()
+    validate_db(db)
+    break_db(db)
+    with pytest.raises(InvariantViolation) as info:
+        validate_db(db)
+    assert str(info.value) == message
+
+
+def test_an_action_is_checked_at_its_first_statement():
+    db = populated_db()
+    for sid in (5, 6):
+        db.statements.append(PolicyStatement(sid, "user", "alice", "pattern", "/x/*",
+                                             "file", "Read"))
+    db.next_statement_id = 7
+    with pytest.raises(InvariantViolation, match="^statement 5: "):
+        validate_db(db)
+
+
+def test_loaded_names_are_shared_and_records_frozen():
+    rng = random.Random(27)
+    for _ in range(50):
+        db = parse_db(serialize_db(random_db(rng)))
+        users = {name: name for name in db.users}
+        resources = {name: name for name in db.resources}
+        for members in db.user_groups.values():
+            assert all(member is users[member] for member in members)
+        for members in db.resource_groups.values():
+            assert all(member is resources[member] for member in members)
+        for field_name in ("grantee_kind", "object_kind", "service_type", "action_name"):
+            values = [getattr(stmt, field_name) for stmt in db.statements]
+            assert len({id(v) for v in values}) == len(set(values))
+    entry, stmt = db.users["user0"], PolicyStatement(1, "user", "user0", "pattern",
+                                                     "/x/*", "file", "read")
+    for record, field_name in ((entry, "enrolled"), (stmt, "grantee")):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field_name, None)
+
+
 @pytest.mark.parametrize("number", ["+1", "1_0", "\u0661", "01", "007"],
                          ids=["plus", "underscore", "arabic-indic", "leading-zero",
                               "leading-zeros"])
@@ -229,8 +326,8 @@ def snapshots(draw) -> bytes:
     db = random_db(draw(st.randoms(use_true_random=False)))
     identities = draw(st.lists(IDENTITIES, unique=True, min_size=len(db.users),
                                max_size=len(db.users)))
-    for entry, identity in zip(db.users.values(), identities):
-        entry.identity = identity
+    for (name, entry), identity in zip(list(db.users.items()), identities):
+        db.users[name] = UserEntry(identity, entry.enrolled)
     return serialize_db(db)
 
 
